@@ -1,22 +1,5 @@
-"""Kernel backend selection.
+"""Convolution and inversion kernels of the series and Laurent rings."""
 
-The compiled extension is preferred when it importable; setting
-GENUSFORGE_PURE=1 forces the interpreted fallback.
-"""
-
-import os
-
-if os.environ.get("GENUSFORGE_PURE"):
-    from genusforge._kernels import pure as _impl
-else:
-    try:
-        from genusforge._kernels import _speedups as _impl  # type: ignore
-    except ImportError:
-        from genusforge._kernels import pure as _impl
-
-BACKEND = _impl.BACKEND
-convolve_trunc = _impl.convolve_trunc
-convolve_full = _impl.convolve_full
-series_inv = _impl.series_inv
+from genusforge._kernels.pure import BACKEND, convolve_full, convolve_trunc, series_inv
 
 __all__ = ["BACKEND", "convolve_trunc", "convolve_full", "series_inv"]

@@ -22,7 +22,7 @@ from genusforge.errors import (
     MissingNumberError,
     SchemaError,
 )
-from genusforge.rings import CoefficientRing, as_fraction, fraction_str
+from genusforge.rings import CoefficientRing, as_fraction, as_int, fraction_str
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -546,7 +546,9 @@ class CharNumbers:
     def from_json(cls, obj: dict) -> "CharNumbers":
         if not isinstance(obj, dict) or "dim" not in obj or "numbers" not in obj:
             raise SchemaError("characteristic numbers need 'dim' and 'numbers'")
-        return cls(obj["dim"], obj["numbers"], obj.get("spin"))
+        if not isinstance(obj["numbers"], dict):
+            raise SchemaError("'numbers' must be an object of monomial keys")
+        return cls(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
 
     def __repr__(self):
         return f"CharNumbers(dim={self.dim}, {self.to_json()['numbers']})"

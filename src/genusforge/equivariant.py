@@ -34,17 +34,20 @@ from genusforge.charclass import BundleRoots, CharNumbers, pair_fundamental
 from genusforge.errors import PoleError, SchemaError
 from genusforge.genus import ahat_poly, l_poly
 from genusforge.ktheory import KClass, r_variants, witten_element
-from genusforge.rings import LAURENT, RATIONAL, LaurentZ, fraction_str, as_fraction
+from genusforge.rings import LAURENT, RATIONAL, LaurentZ, as_fraction, as_int, fraction_str
 from genusforge.series import QSeries
 from genusforge.theta import (
     THETA,
     THETA1,
     THETA2,
     THETA3,
-    euler_product,
+    body_factors,
+    divide_rows,
+    euler_factors,
+    multiply_rows,
+    rows_series,
     theta_eval,
     theta_prime0,
-    theta_qseries,
 )
 
 POLE_TOL = 1e-8
@@ -150,15 +153,21 @@ class JacobiFormMeta:
 
 
 def _moving_list(blocks, speed_key):
+    if blocks is None:
+        return ()
+    if not isinstance(blocks, (list, tuple)):
+        raise SchemaError("moving blocks come as a list")
     out = []
-    for entry in blocks or ():
+    for entry in blocks:
         if isinstance(entry, dict):
             rank, speed = entry.get("rank", 1), entry.get(speed_key)
-        else:
+        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
             rank, speed = entry
-        if speed is None or int(speed) == 0:
+        else:
+            raise SchemaError("a moving block is an object or a (rank, speed) pair")
+        if speed is None or as_int(speed, "moving block speed") == 0:
             raise SchemaError("moving blocks need a nonzero integer speed")
-        if int(rank) < 1:
+        if as_int(rank, "moving block rank") < 1:
             raise SchemaError("moving blocks need a positive pair count")
         out.append((int(rank), int(speed)))
     return tuple(out)
@@ -174,14 +183,14 @@ class FixedComponent:
 
     def __init__(self, dim, orientation, f0_pairs, fperp0_pairs,
                  moving_f=(), moving_fperp=(), numbers=None):
-        self.dim = int(dim)
+        self.dim = as_int(dim, "component dim")
         if self.dim < 0 or self.dim % 2:
             raise SchemaError("component dimension must be even and nonnegative")
         if orientation not in (1, -1):
             raise SchemaError("orientation must be +1 or -1")
         self.orientation = int(orientation)
-        self.f0_pairs = int(f0_pairs)
-        self.fperp0_pairs = int(fperp0_pairs)
+        self.f0_pairs = as_int(f0_pairs, "f0_pairs")
+        self.fperp0_pairs = as_int(fperp0_pairs, "fperp0_pairs")
         if self.f0_pairs < 0 or self.fperp0_pairs < 0:
             raise SchemaError("static pair counts cannot be negative")
         if 2 * (self.f0_pairs + self.fperp0_pairs) != self.dim:
@@ -191,7 +200,11 @@ class FixedComponent:
         self.moving_f = _moving_list(moving_f, "m")
         self.moving_fperp = _moving_list(moving_fperp, "n")
         if not isinstance(numbers, CharNumbers):
-            numbers = CharNumbers(self.dim, numbers or {})
+            if numbers is None:
+                numbers = {}
+            if not isinstance(numbers, dict):
+                raise SchemaError("component numbers must be an object of monomial keys")
+            numbers = CharNumbers(self.dim, numbers)
         if numbers.dim != self.dim:
             raise SchemaError("component numbers live in the wrong degree")
         for mono in numbers.numbers:
@@ -240,9 +253,11 @@ class EquivariantModel:
         if mode not in ("foliated", "split"):
             raise SchemaError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.p, self.r, self.l = int(p), int(r), int(l)
+        self.p, self.r, self.l = as_int(p, "p"), as_int(r, "r"), as_int(l, "l")
         if self.p < 0 or self.r < 0 or self.l < 0:
             raise SchemaError("pair counts cannot be negative")
+        if not isinstance(components, (list, tuple)):
+            raise SchemaError("model components come as a list")
         comps = []
         for comp in components:
             if not isinstance(comp, FixedComponent):
@@ -323,8 +338,41 @@ def _check_root_free(comp: FixedComponent):
         )
 
 
+def _partitions(n, cap):
+    """Partitions of n into parts of size at most cap."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _static_monomials(comp: FixedComponent):
+    """Every top-degree p-monomial of the static F and Fperp roots."""
+    weight, rest = divmod(comp.dim, 4)
+    if rest:
+        return
+    for a in range(weight + 1):
+        for front in _partitions(a, comp.f0_pairs):
+            for back in _partitions(weight - a, comp.fperp0_pairs):
+                bits = [f"p{k}(F)" for k in front] + [f"p{k}(Fperp)" for k in back]
+                yield "*".join(bits) or "1"
+
+
 def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
-    """The paired static density as a q-series of rationals."""
+    """The paired static density as a q-series of rationals.
+
+    Two cases skip the towers: over a point the density is the constant 1,
+    and a table that holds every monomial the pairing can read, all zero,
+    pairs every slot to zero.  An incomplete table takes the full path, so
+    a missing number still raises.
+    """
+    if comp.dim == 0:
+        return QSeries(RATIONAL, 0, [comp.numbers["1"]], order)
+    numbers = comp.numbers
+    if not any(numbers.numbers.values()) and all(m in numbers for m in _static_monomials(comp)):
+        return QSeries.zero(RATIONAL, order)
     top = comp.dim
     front = BundleRoots(comp.f0_pairs, "F")
     back = BundleRoots(comp.fperp0_pairs, "Fperp")
@@ -411,50 +459,53 @@ class ExactSeries:
         return f"ExactSeries(order={self.num.order}, den={self.den!r})"
 
 
-def _body_at(kind, order: int, zpow: int) -> QSeries:
-    """Theta product body with z substituted by z^zpow."""
-    body = theta_qseries(kind, order).body
-    return body.map_coefficients(lambda c: c.subst_pow(zpow))
-
-
-def _w_block(m: int, order: int) -> ExactSeries:
-    """theta'(0) / (2 pi i theta(m t)) expanded in q, exactly:
-    c(q)^2 / ((w^m - w^-m) body_theta(w^2m))."""
-    cq = euler_product(order, LAURENT)
-    num = (cq * cq) * _body_at(THETA, order, 2 * m).inv()
-    den = LaurentZ.from_dict({m: 1, -m: -1})
-    return ExactSeries(num, den)
-
-
-def _v_block(variant: str, n: int, order: int) -> ExactSeries:
-    """The moving Fperp quotient for a variant, expanded in q."""
-    kind = _VARIANT_THETA[variant]
-    cq = euler_product(order, LAURENT)
-    num = (cq * cq) * _body_at(kind, order, 2 * n)
-    num = num * _body_at(THETA, order, 2 * n).inv()
-    num = num * _body_at(kind, order, 0).inv()
-    if variant == "G":
-        num = num * LaurentZ.from_dict({n: 1, -n: 1})
-    den = LaurentZ.from_dict({n: 1, -n: -1})
-    return ExactSeries(num, den)
+def _poly_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse w-Laurent polynomials {exponent: coefficient}."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {e: c for e, c in out.items() if c}
 
 
 def _component_series(comp: FixedComponent, variant: str, order: int) -> ExactSeries:
+    """One component's term, numerator over its unexpanded denominator.
+
+    Per unit of rank, a moving F block of speed m contributes
+    c(q)^2 / body_theta(w^2m) over (w^m - w^-m), and a moving Fperp block
+    of speed n contributes c(q)^2 body_kind(w^2n) / (body_theta(w^2n)
+    body_kind(1)), times (w^n + w^-n) for G, over (w^n - w^-n).  Every
+    q-dependent part is a sparse factor, applied to the static series.
+    """
     _check_root_free(comp)
-    static = _static_series(comp, variant, order)
-    num = static.map_coefficients(lambda c: LaurentZ.monomial(0, c), ring=LAURENT)
-    if comp.orientation < 0:
-        num = -num
-    out = ExactSeries(num, LaurentZ.monomial(0))
+    sign = comp.orientation
+    rows = []
+    for c in _static_series(comp, variant, order).coeffs:
+        c = sign * (c.numerator if c.denominator == 1 else c)
+        rows.append({0: c} if c else {})
+    den = {0: 1}
+    muls, divs = [], []
+    cq2 = euler_factors(order) * 2
     for rank, m in comp.moving_f:
-        block = _w_block(m, order)
         for _ in range(rank):
-            out = out * block
+            muls += cq2
+            divs += body_factors(THETA, order, 2 * m)
+            den = _poly_mul(den, {m: 1, -m: -1})
+    kind = _VARIANT_THETA[variant]
     for rank, n in comp.moving_fperp:
-        block = _v_block(variant, n, order)
         for _ in range(rank):
-            out = out * block
-    return out
+            muls += cq2 + body_factors(kind, order, 2 * n)
+            divs += body_factors(THETA, order, 2 * n) + body_factors(kind, order, 0)
+            if variant == "G":
+                rows = [_poly_mul(row, {n: 1, -n: 1}) for row in rows]
+            den = _poly_mul(den, {n: 1, -n: -1})
+    if any(rows):
+        # q-only factors first, while the rows are still one entry wide
+        multiply_rows(rows, [f for f in muls if not f[2]])
+        divide_rows(rows, [f for f in divs if not f[2]])
+        multiply_rows(rows, [f for f in muls if f[2]])
+        divide_rows(rows, [f for f in divs if f[2]])
+    return ExactSeries(rows_series(rows), LaurentZ.from_dict(den))
 
 
 def h_series(model: EquivariantModel, order: int) -> ExactSeries:

@@ -29,6 +29,17 @@ def as_fraction(value) -> Fraction:
     raise RingMismatchError(f"cannot treat {value!r} as an exact rational")
 
 
+def as_int(value, what: str) -> int:
+    """Coerce an integer payload field, raising SchemaError for anything else."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{what} must be an integer, not {value!r}") from None
+    if not isinstance(value, str) and out != value:
+        raise SchemaError(f"{what} must be an integer, not {value!r}")
+    return out
+
+
 def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 

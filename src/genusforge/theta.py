@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from genusforge.errors import SchemaError
 from genusforge.rings import LAURENT, LaurentZ
-from genusforge.series import STEP, QSeries
+from genusforge.series import QSeries
 
 THETA = "theta"
 THETA1 = "theta1"
@@ -48,6 +48,90 @@ _PREFIX = {
 }
 
 
+# ---------------------------------------------------------------------------
+# exact products on integer rows
+#
+# rows[k] holds the q^(k/2) coefficient of a series as a sparse map
+# {z-exponent: coefficient}.  Every exact product in this package is a run of
+# factors (1 + c q^(e/2) z^k), written (e, c, k) with e >= 1, and each is a
+# unit of the truncated ring, so multiplying or dividing by one is a single
+# pass over the rows and the factors may be applied in any order.
+
+
+def unit_rows(order: int) -> list:
+    """Rows of the series 1 with the given slot count."""
+    if order < 1:
+        raise ValueError("a truncated product needs at least one slot")
+    rows = [{} for _ in range(order)]
+    rows[0][0] = 1
+    return rows
+
+
+def body_factors(kind, order: int, zpow: int = 1) -> list:
+    """The factors of a theta body below the window, with z -> z^zpow."""
+    sign, half = _BODY[kind]
+    out = []
+    e = 1 if half else 2
+    while e < order:
+        out.append((e, sign, zpow))
+        out.append((e, sign, -zpow))
+        e += 2
+    return out
+
+
+def euler_factors(order: int) -> list:
+    """The factors (1 - q^n) of c(q) below the window."""
+    return [(e, -1, 0) for e in range(2, order, 2)]
+
+
+def multiply_rows(rows, factors):
+    """rows *= prod (1 + c q^(e/2) z^k), top-down shift-and-add in place."""
+    top = len(rows)
+    for e, c, k in factors:
+        for n in range(top - 1, e - 1, -1):
+            src = rows[n - e]
+            if src:
+                dst = rows[n]
+                for j, v in src.items():
+                    j += k
+                    x = dst.get(j, 0) + c * v
+                    if x:
+                        dst[j] = x
+                    else:
+                        del dst[j]
+
+
+def divide_rows(rows, factors):
+    """rows /= prod (1 + c q^(e/2) z^k): B[n] = A[n] - c z^k B[n-e], bottom-up."""
+    top = len(rows)
+    for e, c, k in factors:
+        for n in range(e, top):
+            src = rows[n - e]
+            if src:
+                dst = rows[n]
+                for j, v in src.items():
+                    j += k
+                    x = dst.get(j, 0) - c * v
+                    if x:
+                        dst[j] = x
+                    else:
+                        del dst[j]
+
+
+def _exact(c: Fraction):
+    return c.numerator if c.denominator == 1 else c
+
+
+def laurent_rows(series: QSeries) -> list:
+    """Rows of a Laurent-coefficient series."""
+    return [{e: _exact(c) for e, c in lz.items()} for lz in series.coeffs]
+
+
+def rows_series(rows, offset=0) -> QSeries:
+    """The Laurent-coefficient series held by rows."""
+    return QSeries(LAURENT, offset, [LaurentZ.from_dict(row) for row in rows], len(rows))
+
+
 class ThetaSeries:
     """Exact theta data: symbolic prefactors plus the expanded z-product."""
 
@@ -62,14 +146,13 @@ class ThetaSeries:
 
     def expanded(self) -> QSeries:
         """body * c(q)**c_power shifted by the q-offset (trig stays symbolic)."""
-        out = self.body
-        if self.c_power:
-            cq = euler_product(self.body.order, ring=LAURENT)
-            if self.c_power < 0:
-                cq = cq.inv()
-            for _ in range(abs(self.c_power)):
-                out = out * cq
-        return out.shifted(self.q_offset)
+        rows = laurent_rows(self.body)
+        factors = euler_factors(self.body.order) * abs(self.c_power)
+        if self.c_power > 0:
+            multiply_rows(rows, factors)
+        else:
+            divide_rows(rows, factors)
+        return rows_series(rows, self.body.offset + self.q_offset)
 
     def __repr__(self):
         return (
@@ -80,39 +163,19 @@ class ThetaSeries:
 
 def euler_product(order: int, ring=LAURENT) -> QSeries:
     """c(q) = prod (1 - q^n) truncated to the given slot count."""
-    out = QSeries.one(ring, order)
-    n = 1
-    while n * 2 < order:
-        factor = QSeries.from_terms(
-            ring, {0: ring.one(), n: ring.coerce(-1)}, order
-        )
-        out = out * factor
-        n += 1
-    return out
+    rows = unit_rows(order)
+    multiply_rows(rows, euler_factors(order))
+    return QSeries(ring, 0, [ring.coerce(row.get(0, 0)) for row in rows], order)
 
 
 def theta_qseries(kind, order: int) -> ThetaSeries:
     """Exact truncated product expansion of the z-dependent body."""
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
-    sign, half = _BODY[kind]
-    body = QSeries.one(LAURENT, order)
-    end = order * STEP
-    n = 1
-    while True:
-        expo = Fraction(n) - Fraction(1, 2) if half else Fraction(n)
-        if expo >= end:
-            break
-        for zpow in (1, -1):
-            factor = QSeries.from_terms(
-                LAURENT,
-                {0: LaurentZ.monomial(0), expo: LaurentZ.monomial(zpow, sign)},
-                order,
-            )
-            body = body * factor
-        n += 1
+    rows = unit_rows(order)
+    multiply_rows(rows, body_factors(kind, order))
     c_power, q_offset, trig = _PREFIX[kind]
-    return ThetaSeries(kind, c_power, q_offset, trig, body)
+    return ThetaSeries(kind, c_power, q_offset, trig, rows_series(rows))
 
 
 def theta_prime0_series(order: int) -> ThetaSeries:

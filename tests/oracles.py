@@ -317,6 +317,40 @@ def theta_body_oracle(sign, half_shift, q_end):
     return out
 
 
+def tadd(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Q0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def wlift(poly):
+    """A w-Laurent polynomial {w: c} as a q^0 body {(0, w): c}."""
+    return {(Q0, e): c for e, c in poly.items()}
+
+
+def tinv(a, q_end):
+    """1/a for a body with constant term 1, as the geometric series of 1 - a."""
+    x = {k: -c for k, c in a.items() if k != (Q0, 0)}
+    assert a[(Q0, 0)] == 1 and all(q > 0 for q, _ in x)
+    out = {(Q0, 0): Q1}
+    power = {(Q0, 0): Q1}
+    while power:
+        power = tmul(power, x, q_end)
+        for k, c in power.items():
+            out[k] = out.get(k, Q0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def tsubst(a, zpow):
+    """z -> z^zpow; zpow 0 sets z = 1."""
+    out = {}
+    for (q, z), c in a.items():
+        key = (q, z * zpow)
+        out[key] = out.get(key, Q0) + c
+    return {k: c for k, c in out.items() if c}
+
+
 def euler_product_oracle(q_end):
     """prod (1 - q^n) truncated below q_end, as an exponent dict."""
     out = {Fraction(0): Q1}

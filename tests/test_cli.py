@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import genusforge
 from genusforge.catalog import get
 from genusforge.cli import main, run
 from genusforge.equivariant import h_eval
@@ -84,6 +88,38 @@ def test_genus_missing_file_exit_2(tmp_path):
     assert code == 2
     assert report["error"]["type"] == "SchemaError"
     assert "nope.json" in report["error"]["message"]
+
+
+_MALFORMED = {
+    "dim_not_integer": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": "x", "numbers": {"p1": 3}},
+    ),
+    "numbers_not_object": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": 4, "numbers": []},
+    ),
+    "speed_not_integer": (
+        ["equivariant", "H", "--exact", "--order", "6", "--model"],
+        {"mode": "foliated", "p": 1, "r": 0, "components": [
+            {"dim": 0, "orientation": 1, "moving_f": [{"rank": 1, "m": "a"}],
+             "numbers": {"1": 1}}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_payload_exit_2_without_traceback(tmp_path, case):
+    argv, payload = _MALFORMED[case]
+    path = write_model(tmp_path, case, payload)
+    src = os.path.dirname(os.path.dirname(genusforge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "genusforge.cli"] + argv + [path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "SchemaError"
+    assert "Traceback" not in proc.stderr
 
 
 def test_theta_check_laws_pass():

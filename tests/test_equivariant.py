@@ -34,7 +34,17 @@ from genusforge.rings import LAURENT, RATIONAL, LaurentZ
 from genusforge.series import QSeries
 from genusforge.theta import theta_eval, theta_prime0
 
-from oracles import two_fixed_point_sum, wmul
+from oracles import (
+    euler_product_oracle,
+    tadd,
+    theta_body_oracle,
+    tinv,
+    tmul,
+    tsubst,
+    two_fixed_point_sum,
+    wlift,
+    wmul,
+)
 
 Q = Fraction
 
@@ -298,6 +308,125 @@ def test_root_free_guard():
         h_series(bad, 5)
     with pytest.raises(SchemaError):
         h_eval(bad, 0.3, 1.1j)
+
+
+_KIND_SHAPE = {"G": (1, False), "G1": (-1, True), "G2": (1, True)}
+
+
+def oracle_exact(model, function, order):
+    """(num, den) of H or G at points, from naive dict products.
+
+    num is {(q exponent, w exponent): coeff} and den {w exponent: coeff};
+    components with unequal denominators are cross-multiplied, unreduced.
+    """
+    end = Fraction(order, 2)
+    variant = "G" if function == "H" else function
+    cq = {(e, 0): c for e, c in euler_product_oracle(end).items()}
+    cq2 = tmul(cq, cq, end)
+    theta = theta_body_oracle(-1, False, end)
+    kind = theta_body_oracle(*_KIND_SHAPE[variant], end)
+    total = None
+    for comp in model.components:
+        num = {(Q(0), 0): comp.orientation * comp.numbers["1"]}
+        den = {0: Q(1)}
+        for rank, m in comp.moving_f:
+            for _ in range(rank):
+                num = tmul(tmul(num, cq2, end), tinv(tsubst(theta, 2 * m), end), end)
+                den = wmul(den, {m: Q(1), -m: Q(-1)})
+        for rank, n in comp.moving_fperp:
+            for _ in range(rank):
+                block = tmul(cq2, tsubst(kind, 2 * n), end)
+                block = tmul(block, tinv(tsubst(theta, 2 * n), end), end)
+                block = tmul(block, tinv(tsubst(kind, 0), end), end)
+                if variant == "G":
+                    block = tmul(block, {(Q(0), n): Q(1), (Q(0), -n): Q(1)}, end)
+                num = tmul(num, block, end)
+                den = wmul(den, {n: Q(1), -n: Q(-1)})
+        if total is None:
+            total = num, den
+        elif den == total[1]:
+            total = tadd(total[0], num), den
+        else:
+            acc, acc_den = total
+            cross = tadd(tmul(acc, wlift(den), end), tmul(num, wlift(acc_den), end))
+            total = cross, wmul(acc_den, den)
+    return total
+
+
+def seeded_point_model(rng, mode):
+    """1-4 points sharing one moving F block shape, ranks 1-2, speeds +-1..+-3."""
+    rank, m = rng.randint(1, 2), rng.randint(1, 3)
+    r = rng.randint(1, 2) if mode == "split" else 0
+    comps = []
+    for _ in range(rng.randint(1, 4)):
+        n = rng.choice([-1, 1]) * rng.randint(1, 3)
+        comps.append(FixedComponent(
+            0, rng.choice([1, -1]), 0, 0,
+            moving_f=[(rank, rng.choice([m, -m]))],
+            moving_fperp=[(r, n)] if r else [],
+            numbers={"1": rng.choice([1, 1, -1, 2, Q(1, 2)])},
+        ))
+    return EquivariantModel(mode, rank, r, 0, comps)
+
+
+def test_point_models_match_product_oracle():
+    rng = random.Random(20240611)
+    for function in ("H", "G", "G1", "G2") * 3:
+        model = seeded_point_model(rng, "foliated" if function == "H" else "split")
+        order = rng.randint(3, 10)
+        got = (h_series(model, order) if function == "H"
+               else g_series(model, function, order))
+        num, den = oracle_exact(model, function, order)
+        assert got.num.offset == 0 and got.num.order == order
+        assert laurent_dict(got.den) == den
+        got_num = {(e, k): c for e, lz in got.num.terms() for k, c in lz.items()}
+        assert got_num == num, (function, model.to_json(), order)
+
+
+def full_static_series(comp, variant, order):
+    """The paired static density through the full Witten and twist towers."""
+    from genusforge.charclass import BundleRoots, pair_fundamental
+    from genusforge.genus import ahat_poly, l_poly
+    from genusforge.ktheory import KClass, r_variants, witten_element
+
+    top = comp.dim
+    front = BundleRoots(comp.f0_pairs, "F")
+    back = BundleRoots(comp.fperp0_pairs, "Fperp")
+    psi = witten_element(KClass.bundle(front, top), order)
+    twist = r_variants(KClass.bundle(back, top), {"G": "R", "G1": "R2", "G2": "R1"}[variant],
+                       order)
+    second = l_poly(back, top) if variant == "G" else ahat_poly(back, top)
+    base = ahat_poly(front, top) * second
+    density = (psi * twist).map_coefficients(lambda c: c * base)
+    vals = [pair_fundamental(c, comp.numbers) for c in density.coeffs]
+    return QSeries(RATIONAL, density.offset, vals, density.order)
+
+
+def test_static_series_shortcuts_match_full_tower():
+    from genusforge import catalog
+    from genusforge.equivariant import _static_series
+    from genusforge.errors import MissingNumberError
+
+    comps = [comp for name in catalog.list_entries()
+             for model in [catalog.get(name).build()] if isinstance(model, EquivariantModel)
+             for comp in model.components]
+    # a complete all-zero table over a dim-8 static block, and a fractional point
+    comps.append(FixedComponent(8, 1, 2, 2, moving_f=[(1, 1)], numbers={
+        "p2(F)": 0, "p1(F)^2": 0, "p1(F)*p1(Fperp)": 0, "p2(Fperp)": 0, "p1(Fperp)^2": 0,
+    }))
+    comps.append(FixedComponent(0, -1, 0, 0, moving_f=[(1, 2)], numbers={"1": Q(3, 2)}))
+    assert any(c.dim == 0 for c in comps) and any(c.dim > 0 for c in comps)
+    for comp in comps:
+        for variant in ("G", "G1", "G2"):
+            for order in (1, 6, 13):
+                got = _static_series(comp, variant, order)
+                want = full_static_series(comp, variant, order)
+                assert (got.offset, got.order, got.coeffs) == (want.offset, want.order,
+                                                               want.coeffs)
+    # an incomplete all-zero table still takes the towers and reports the gap
+    gap = FixedComponent(8, 1, 2, 2, moving_f=[(1, 1)], numbers={"p2(F)": 0})
+    with pytest.raises(MissingNumberError):
+        _static_series(gap, "G", 4)
 
 
 # ---------------------------------------------------------------------------

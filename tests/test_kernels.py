@@ -1,10 +1,9 @@
-"""The compiled and interpreted convolution kernels must agree exactly."""
+"""The convolution and inversion kernels on small exact cases and identities."""
 
 import random
 from fractions import Fraction
 
 from genusforge._kernels import BACKEND, convolve_full, convolve_trunc, series_inv
-from genusforge._kernels import pure
 
 Z = Fraction(0)
 
@@ -14,7 +13,7 @@ def rand_list(rng, n):
 
 
 def test_backend_reports_a_known_name():
-    assert BACKEND in ("cython", "pure")
+    assert BACKEND == "pure"
 
 
 def test_trunc_small_case():
@@ -43,19 +42,6 @@ def test_full_matches_polynomial_product():
 def test_series_inv_geometric():
     a = [Fraction(1), Fraction(-1), Z, Z]
     assert series_inv(a, 4, Fraction(1), Z) == [Fraction(1)] * 4
-
-
-def test_active_backend_matches_pure_reference():
-    rng = random.Random(987123)
-    for _ in range(40):
-        n = rng.randint(1, 12)
-        a = rand_list(rng, rng.randint(1, n + 3))
-        b = rand_list(rng, rng.randint(1, n + 3))
-        assert convolve_trunc(a, b, n, Z) == pure.convolve_trunc(a, b, n, Z)
-        assert convolve_full(a, b, Z) == pure.convolve_full(a, b, Z)
-        a[0] = Fraction(rng.randint(1, 5))
-        inv_lead = 1 / a[0]
-        assert series_inv(a, n, inv_lead, Z) == pure.series_inv(a, n, inv_lead, Z)
 
 
 def test_series_inv_against_convolution_identity():

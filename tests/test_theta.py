@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from genusforge.errors import SchemaError
+from genusforge.rings import RATIONAL
 from genusforge.theta import (
     KINDS,
     THETA,
@@ -29,6 +30,7 @@ from oracles import (
     dmul,
     euler_product_oracle,
     theta_body_oracle,
+    tmul,
 )
 
 _SHAPE = {THETA: (-1, False), THETA1: (1, False), THETA2: (-1, True), THETA3: (1, True)}
@@ -59,11 +61,20 @@ def grid(n_tau=3, n_t=3):
 
 
 def test_bodies_match_product_oracle():
-    for kind in KINDS:
-        sign, half = _SHAPE[kind]
-        ts = theta_qseries(kind, 12)
-        expect = theta_body_oracle(sign, half, Fraction(6))
-        assert body_dict(ts.body) == expect
+    for order in (1, 12, 29, 60):
+        end = Fraction(order, 2)
+        euler = {(e, 0): c for e, c in euler_product_oracle(end).items()}
+        for kind in KINDS:
+            sign, half = _SHAPE[kind]
+            ts = theta_qseries(kind, order)
+            expect = theta_body_oracle(sign, half, end)
+            assert (ts.body.offset, ts.body.order) == (0, order)
+            assert body_dict(ts.body) == expect
+            # expanded: the body times c(q), moved to the q-offset
+            expanded = ts.expanded()
+            assert (expanded.offset, expanded.order) == (ts.q_offset, order)
+            shifted = {(e + ts.q_offset, k): c for (e, k), c in tmul(expect, euler, end).items()}
+            assert body_dict(expanded) == shifted
 
 
 def test_body_examples():
@@ -99,10 +110,13 @@ def test_unknown_kind_rejected():
 
 
 def test_euler_product_expansion():
+    for order in (1, 2, 16, 33, 60):
+        oracle = euler_product_oracle(Fraction(order, 2))
+        s = euler_product(order)
+        assert (s.offset, s.order) == (0, order)
+        assert {e: lz.constant() for e, lz in s.terms()} == oracle
+        assert dict(euler_product(order, RATIONAL).terms()) == oracle
     s = euler_product(16)
-    oracle = euler_product_oracle(Fraction(8))
-    got = {e: lz.constant() for e, lz in s.terms()}
-    assert got == oracle
     # pentagonal pattern: 1 - q - q^2 + q^5 + q^7
     vals = [s.coefficient(k).constant() for k in range(8)]
     assert vals == [1, -1, -1, 0, 0, 1, 0, 1]
