@@ -30,10 +30,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from genusforge.charclass import BundleRoots, CharNumbers, pair_fundamental
+from genusforge.charclass import BundleRoots, CharNumbers, ahat_factor, l_factor
 from genusforge.errors import PoleError, SchemaError
-from genusforge.genus import ahat_poly, l_poly
-from genusforge.ktheory import KClass, r_variants, witten_element
+from genusforge.genus import _paired_towers
 from genusforge.rings import LAURENT, RATIONAL, LaurentZ, as_fraction, as_int, fraction_str
 from genusforge.series import QSeries
 from genusforge.theta import (
@@ -376,15 +375,9 @@ def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
     top = comp.dim
     front = BundleRoots(comp.f0_pairs, "F")
     back = BundleRoots(comp.fperp0_pairs, "Fperp")
-    psi = witten_element(KClass.bundle(front, top), order)
-    twist = r_variants(KClass.bundle(back, top), _VARIANT_TWIST[variant], order)
-    if variant == "G":
-        base = ahat_poly(front, top) * l_poly(back, top)
-    else:
-        base = ahat_poly(front, top) * ahat_poly(back, top)
-    density = (psi * twist).map_coefficients(lambda c: c * base)
-    vals = [pair_fundamental(c, comp.numbers) for c in density.coeffs]
-    return QSeries(RATIONAL, density.offset, vals, density.order)
+    second = l_factor(top) if variant == "G" else ahat_factor(top)
+    towers = ((front, ahat_factor(top), "witten"), (back, second, _VARIANT_TWIST[variant]))
+    return _paired_towers(numbers, order, towers)
 
 
 # ---------------------------------------------------------------------------

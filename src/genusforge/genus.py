@@ -8,10 +8,18 @@ a table of Pontryagin numbers.  Densities take the shape
 paired against the fundamental class coefficient by coefficient; the
 Witten genus and the three twisted genera are specializations with psi
 the Witten element of F and phi one of the twist towers of Fperp.
+
+Those genera are paired from the power-sum closed form.  Per bundle the
+log of genus factor times tower is linear in the power sums,
+sum_k (c_k + 2 h_k(q) / (2k)!) s_k, with c_k the moments of the factor
+series and h_k the tower's Lambert rows.  The pairing reads only the top
+degree, so each slot is sum over the monomials s^lambda of degree dim of
+<s^lambda, [M]> times a product of rational q-series.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -20,14 +28,15 @@ from genusforge.charclass import (
     CharNumbers,
     GradedPoly,
     GradedRing,
+    _even_to_moment_log,
     ahat_factor,
     genus_sequence,
     l_factor,
     pair_fundamental,
 )
 from genusforge.errors import SchemaError
-from genusforge.ktheory import KClass, r_variants, witten_element
-from genusforge.rings import RATIONAL
+from genusforge.ktheory import bundle_power_sums, ch_denominator, power_sum_exp, tower_log
+from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
 
 
@@ -49,8 +58,8 @@ class SplitManifoldSpec:
     __slots__ = ("dim", "F", "Fperp", "numbers", "F_spin", "M_spin")
 
     def __init__(self, dim, f_pairs, fperp_pairs, numbers, f_spin=False, m_spin=False):
-        self.dim = int(dim)
-        p, r = int(f_pairs), int(fperp_pairs)
+        self.dim = as_int(dim, "dim")
+        p, r = as_int(f_pairs, "f_pairs"), as_int(fperp_pairs, "fperp_pairs")
         if self.dim != 2 * (p + r):
             raise SchemaError(
                 f"dimension {self.dim} does not match {p} + {r} root pairs"
@@ -58,6 +67,8 @@ class SplitManifoldSpec:
         self.F = BundleRoots(p, "F")
         self.Fperp = BundleRoots(r, "Fperp")
         if not isinstance(numbers, CharNumbers):
+            if not isinstance(numbers, dict):
+                raise SchemaError("'numbers' must be an object of monomial keys")
             numbers = CharNumbers(self.dim, numbers)
         if numbers.dim != self.dim:
             raise SchemaError("characteristic numbers live in the wrong degree")
@@ -204,15 +215,56 @@ def l_genus(numbers: CharNumbers) -> Fraction:
     return pair_fundamental(poly, numbers)
 
 
+def _paired_towers(numbers: CharNumbers, order: int, towers) -> QSeries:
+    """<prod over (bundle, factor, tower) of genus(factor) ch(tower), [M]>.
+
+    towers lists (BundleRoots, factor series, tower name) with the towers
+    of ktheory.tower_log.  The per-slot coefficient of every top-degree
+    p-monomial is combined first, and a number is read only when that
+    coefficient is nonzero in some slot, so a missing number raises
+    exactly when the density needs it.
+    """
+    top = numbers.dim
+    logs = []
+    for bundle, factor, tower in towers:
+        moments = _even_to_moment_log(factor, top)
+        rows = tower_log(tower, order, top)
+        for k, (x, h) in enumerate(zip(bundle_power_sums(bundle, top), rows), 1):
+            # L_k = c_k + h_k / ((2k)!/2) over one integer denominator
+            c, cden = moments[k], ch_denominator(k)
+            den = math.lcm(cden, c.denominator)
+            row = [v * (den // cden) for v in h]
+            if row:
+                row[0] += c.numerator * (den // c.denominator)
+            logs.append((x, k, row, den))
+    by_mono = {}
+    for row, den, poly in power_sum_exp(logs, order, top, exact=True):
+        for mono, coeff in poly.terms.items():
+            by_mono.setdefault(mono, []).append((coeff / den, row))
+    paired = []
+    for mono, terms in by_mono.items():
+        total, den = _row_sum(terms, order)
+        if any(total):
+            paired.append((numbers[mono] / den, total))
+    vals, den = _row_sum(paired, order)
+    return QSeries(RATIONAL, 0, [Fraction(v, den) for v in vals], order)
+
+
+def _row_sum(terms, order: int):
+    """sum of scale * row over (Fraction scale, integer row) as (integer row, den)."""
+    den = math.lcm(*(scale.denominator for scale, _ in terms))
+    total = [0] * order
+    for scale, row in terms:
+        x = scale.numerator * (den // scale.denominator)
+        total = [t + x * v for t, v in zip(total, row)]
+    return total, den
+
+
 def witten_genus(numbers: CharNumbers, order: int) -> QSeries:
     """<Ahat(TM) ch(Psi_q(TM)), [M]> as a q-series of exact rationals."""
     dim = numbers.dim
     tangent = BundleRoots(dim // 2, None)
-    E = KClass.bundle(tangent, dim)
-    tower = witten_element(E, order)
-    ahat = genus_sequence(ahat_factor(dim), dim, bundle=None, pairs=tangent.pair_count)
-    density = tower.map_coefficients(lambda c: c * ahat)
-    return _pair_series(density, numbers)
+    return _paired_towers(numbers, order, ((tangent, ahat_factor(dim), "witten"),))
 
 
 _VARIANTS = ("R", "R1", "R2")
@@ -228,11 +280,6 @@ def split_genus(spec: SplitManifoldSpec, variant: str, order: int) -> QSeries:
     if variant not in _VARIANTS:
         raise ValueError(f"unknown twist variant {variant!r}")
     top = spec.dim
-    psi = witten_element(KClass.bundle(spec.F, top), order)
-    twist = r_variants(KClass.bundle(spec.Fperp, top), variant, order)
-    if variant == "R":
-        base = ahat_poly(spec.F, top) * l_poly(spec.Fperp, top)
-    else:
-        base = ahat_poly(spec.F, top) * ahat_poly(spec.Fperp, top)
-    density = (psi * twist).map_coefficients(lambda c: c * base)
-    return _pair_series(density, spec.numbers)
+    second = l_factor(top) if variant == "R" else ahat_factor(top)
+    towers = ((spec.F, ahat_factor(top), "witten"), (spec.Fperp, second, variant))
+    return _paired_towers(spec.numbers, order, towers)

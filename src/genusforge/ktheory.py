@@ -8,9 +8,17 @@ for a line with root a,
 
 so for a full root-pair bundle E the log series has, at the q-slot i*g of
 t = +-q^g, the coefficient +-(1/i) * ch_i(E) where ch_i(E) evaluates every
-root at i times its value.  Everything stays exact over GradedPoly
-coefficients, and the splitting rule Sym_q(A - B) = Sym_q(A) Lambda_{-q}(B)
-is automatic because the log is linear in the class.
+root at i times its value.  The splitting rule Sym_q(A - B) =
+Sym_q(A) Lambda_{-q}(B) is automatic because the log is linear in the class.
+
+ch_i has the power-sum coefficients 2 i^(2k) / (2k)!, so the log of a whole
+tower on E - rank E is sum_k 2 h_k(q) s_k(E) / (2k)! with integer Lambert
+rows h_k; for the Witten element h_k = sum_n sigma_(2k-1)(n) q^n, the
+q-part of the Eisenstein series G_2k.  Towers are expanded from that
+closed form: exp of a sum linear in the s_k is a sum over the monomials in
+the s_k of products of rational q-series.  sym_total and lambda_total keep
+the per-factor recursion (an exp over GradedPoly coefficients), which the
+tests use as the independent referee.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from genusforge.charclass import BundleRoots, GradedPoly, GradedRing, to_pontryagin
+from genusforge._kernels import convolve_trunc
+from genusforge.charclass import BundleRoots, GradedPoly, GradedRing, power_sums
 from genusforge.errors import DimensionError
 from genusforge.series import STEP, QSeries
 
@@ -145,10 +154,6 @@ def ch_tensor_pair(A: BundleRoots, B: BundleRoots, top: int) -> GradedPoly:
     return out
 
 
-def _tower_ring(top: int) -> GradedRing:
-    return GradedRing(top)
-
-
 def _grid_slots(exponent: Fraction) -> int:
     idx = exponent / STEP
     if idx.denominator != 1 or idx <= 0:
@@ -158,7 +163,7 @@ def _grid_slots(exponent: Fraction) -> int:
 
 def _log_tower(E: KClass, exponent, order: int, sign: int, exterior: bool) -> QSeries:
     """log ch of Sym_t(E) or Lambda_t(E) at t = sign * q**exponent."""
-    ring = _tower_ring(E.top)
+    ring = GradedRing(E.top)
     expo = Fraction(exponent)
     stride = _grid_slots(expo)
     zero = ring.zero()
@@ -185,27 +190,118 @@ def lambda_total(E: KClass, exponent, order: int, sign: int = 1) -> QSeries:
     return _log_tower(E, exponent, order, sign, exterior=True).exp()
 
 
+# ---------------------------------------------------------------------------
+# whole towers from the power-sum closed form
+
+# Lambda factors of the twist towers: the offset in grid slots of their
+# exponent from the Sym exponent's slot 2m, and the sign of t
+_R_LAMBDA = {"R": (0, 1), "R1": (-1, 1), "R2": (-1, -1)}
+
+
+def _tower_factors(tower: str, order: int) -> list:
+    """(stride, sign, exterior) of every factor that starts inside the window.
+
+    witten: Sym_{q^j} for j >= 1;
+    R     : Sym_{q^m} and Lambda_{q^m} for m >= 1;
+    R1    : Sym_{q^m} and Lambda at q^(m - 1/2);
+    R2    : as R1 with Lambda at t = -q^(m - 1/2).
+    """
+    if tower == "witten":
+        return [(2 * j, 1, False) for j in range(1, (order + 1) // 2)]
+    shift, sign = _R_LAMBDA[tower]
+    out = []
+    m = 1
+    while 2 * m + shift < order:
+        if 2 * m < order:
+            out.append((2 * m, 1, False))
+        out.append((2 * m + shift, sign, True))
+        m += 1
+    return out
+
+
+def tower_log(tower: str, order: int, top: int) -> list:
+    """Integer Lambert rows h_1 .. h_(top//4) of a tower.
+
+    log ch of the tower on E - rank E is sum_k 2 h_k(q) s_k(E) / (2k)!,
+    each h_k a list of `order` slot values.
+    """
+    rows = [[0] * order for _ in range(top // 4)]
+    for stride, sign, exterior in _tower_factors(tower, order):
+        for i in range(1, (order - 1) // stride + 1):
+            flip = (sign < 0 and i % 2 == 1) != (exterior and i % 2 == 0)
+            x, i2 = (-i if flip else i), i * i
+            for row in rows:
+                row[i * stride] += x
+                x *= i2
+    return rows
+
+
+def ch_denominator(k: int) -> int:
+    """(2k)!/2: ch has s_k coefficient 2/(2k)! per root pair."""
+    return math.factorial(2 * k) // 2
+
+
+def bundle_power_sums(bundle: BundleRoots, top: int) -> list:
+    """s_1 .. s_(top//4) of the bundle in its Pontryagin classes, with its pair cap."""
+    return power_sums([bundle.pontryagin(i, top) for i in range(1, top // 4 + 1)])
+
+
+def power_sum_exp(logs, order: int, top: int, exact: bool = False):
+    """Expand exp(sum_v L_v(q) x_v) monomial by monomial in the x_v.
+
+    logs holds (x_v, k_v, row_v, den_v): a GradedPoly x_v of degree 4 k_v
+    and the truncated series L_v = row_v / den_v with integer row_v.
+    Yields (row, den, poly) for every multiset {v^m_v} of total degree at
+    most top (exactly top when exact): row / den = prod L_v^m_v / m_v! and
+    poly = prod x_v^m_v.  Multisets whose series vanish are skipped.
+    """
+    logs = [entry for entry in logs if entry[0] and any(entry[2])]
+
+    def walk(start, left, row, den, poly):
+        if left == 0 or not exact:
+            yield row, den, poly
+        for v in range(start, len(logs)):
+            x, k, lrow, lden = logs[v]
+            r, d, p = row, den, poly
+            for m in range(1, left // k + 1):
+                r = convolve_trunc(r, lrow, order, 0)
+                if not any(r):
+                    break
+                d, p = d * lden * m, p * x
+                yield from walk(v + 1, left - m * k, r, d, p)
+
+    if exact and top % 4:
+        return
+    one = [1] + [0] * (order - 1) if order > 0 else []
+    yield from walk(0, top // 4, one, 1, GradedPoly.constant(1, top))
+
+
+def _tower_series(E: KClass, tower: str, order: int) -> QSeries:
+    top = E.top
+    rows = tower_log(tower, order, top)
+    logs = []
+    for bundle, mult in E.parts:
+        for k, (x, h) in enumerate(zip(bundle_power_sums(bundle, top), rows), 1):
+            logs.append((x, k, [mult * v for v in h], ch_denominator(k)))
+    slots = [{} for _ in range(order)]
+    for row, den, poly in power_sum_exp(logs, order, top):
+        for n, v in enumerate(row):
+            if v:
+                c = Fraction(v, den)
+                slot = slots[n]
+                for mono, coeff in poly.terms.items():
+                    slot[mono] = slot.get(mono, 0) + c * coeff
+    return QSeries(GradedRing(top), 0, [GradedPoly(s, top) for s in slots], order)
+
+
 def witten_element(E: KClass, order: int) -> QSeries:
     """ch of the tensor of Sym_{q^j}(E - rank E) over j >= 1.
 
-    The log of the full tower is the sum of the factor logs; factors whose
-    first contribution lies past the truncation order are identically 1.
+    Its log is sum_k 2 G_2k(q)^+ s_k(E) / (2k)!, G_2k^+ the q-part of the
+    Eisenstein series; factors whose first contribution lies past the
+    truncation order are identically 1.
     """
-    red = E.reduced()
-    ring = _tower_ring(E.top)
-    total = QSeries.zero(ring, order)
-    j = 1
-    while _grid_slots(Fraction(j)) < order:
-        total = total + _log_tower(red, Fraction(j), order, 1, exterior=False)
-        j += 1
-    return total.exp()
-
-
-_R_LAMBDA = {
-    "R": (Fraction(0), 1),
-    "R1": (Fraction(-1, 2), 1),
-    "R2": (Fraction(-1, 2), -1),
-}
+    return _tower_series(E, "witten", order)
 
 
 def r_variants(E: KClass, variant: str, order: int) -> QSeries:
@@ -217,26 +313,4 @@ def r_variants(E: KClass, variant: str, order: int) -> QSeries:
     """
     if variant not in _R_LAMBDA:
         raise ValueError(f"unknown twist variant {variant!r}")
-    shift, sign = _R_LAMBDA[variant]
-    red = E.reduced()
-    ring = _tower_ring(E.top)
-    total = QSeries.zero(ring, order)
-    m = 1
-    while True:
-        sym_expo = Fraction(m)
-        lam_expo = Fraction(m) + shift
-        have_sym = _grid_slots(sym_expo) < order
-        have_lam = _grid_slots(lam_expo) < order
-        if not have_sym and not have_lam:
-            break
-        if have_sym:
-            total = total + _log_tower(red, sym_expo, order, 1, exterior=False)
-        if have_lam:
-            total = total + _log_tower(red, lam_expo, order, sign, exterior=True)
-        m += 1
-    return total.exp()
-
-
-def series_to_pontryagin(series: QSeries, caps=None) -> QSeries:
-    """Rewrite every coefficient's power-sum symbols into Pontryagin classes."""
-    return series.map_coefficients(lambda c: to_pontryagin(c, caps=caps))
+    return _tower_series(E, variant, order)

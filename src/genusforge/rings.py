@@ -80,9 +80,10 @@ class LaurentZ:
             return cls()
         lo = min(d)
         hi = max(d)
+        # gaps are already Fractions, so __init__ converts each entry once
         cs = [_QZERO] * (hi - lo + 1)
         for e, c in d.items():
-            cs[e - lo] = as_fraction(c)
+            cs[e - lo] = c
         return cls(lo, cs)
 
     def items(self):

@@ -99,6 +99,18 @@ _MALFORMED = {
         ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
         {"dim": 4, "numbers": []},
     ),
+    "split_dim_not_integer": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": "x", "f_pairs": 1, "fperp_pairs": 0, "numbers": {"p1(F)": 3}},
+    ),
+    "split_pairs_not_integer": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": 4, "f_pairs": "a", "fperp_pairs": 0, "numbers": {"p1(F)": 3}},
+    ),
+    "split_numbers_not_object": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": 4, "f_pairs": 2, "fperp_pairs": 0, "numbers": []},
+    ),
     "speed_not_integer": (
         ["equivariant", "H", "--exact", "--order", "6", "--model"],
         {"mode": "foliated", "p": 1, "r": 0, "components": [

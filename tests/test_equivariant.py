@@ -45,6 +45,7 @@ from oracles import (
     wlift,
     wmul,
 )
+import referee
 
 Q = Fraction
 
@@ -384,22 +385,15 @@ def test_point_models_match_product_oracle():
 
 
 def full_static_series(comp, variant, order):
-    """The paired static density through the full Witten and twist towers."""
-    from genusforge.charclass import BundleRoots, pair_fundamental
-    from genusforge.genus import ahat_poly, l_poly
-    from genusforge.ktheory import KClass, r_variants, witten_element
+    """The paired static density through the factor-by-factor towers."""
+    from genusforge.charclass import BundleRoots
 
-    top = comp.dim
     front = BundleRoots(comp.f0_pairs, "F")
     back = BundleRoots(comp.fperp0_pairs, "Fperp")
-    psi = witten_element(KClass.bundle(front, top), order)
-    twist = r_variants(KClass.bundle(back, top), {"G": "R", "G1": "R2", "G2": "R1"}[variant],
-                       order)
-    second = l_poly(back, top) if variant == "G" else ahat_poly(back, top)
-    base = ahat_poly(front, top) * second
-    density = (psi * twist).map_coefficients(lambda c: c * base)
-    vals = [pair_fundamental(c, comp.numbers) for c in density.coeffs]
-    return QSeries(RATIONAL, density.offset, vals, density.order)
+    twist = {"G": "R", "G1": "R2", "G2": "R1"}[variant]
+    density = referee.split_density(front, back, twist, comp.dim, order)
+    return QSeries(RATIONAL, density.offset, referee.paired(density, comp.numbers),
+                   density.order)
 
 
 def test_static_series_shortcuts_match_full_tower():

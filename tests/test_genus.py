@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from genusforge.charclass import CharNumbers, GradedPoly, pair_fundamental
+from genusforge.charclass import (
+    BundleRoots,
+    CharNumbers,
+    GradedPoly,
+    pair_fundamental,
+    parse_monomial,
+)
 from genusforge.errors import MissingNumberError, SchemaError
 from genusforge.genus import (
     IntegralityWarning,
@@ -24,6 +30,7 @@ from genusforge.rings import RATIONAL
 from genusforge.series import QSeries
 
 from oracles import MPoly, naive_witten, qm_clean, qm_mul
+import referee
 
 Q = Fraction
 
@@ -259,3 +266,151 @@ def test_pairing_against_explicit_density():
     density = index_density(K3)
     val = pair_fundamental(density, K3.numbers)
     assert val == Q(-1, 24) * Q(-48)
+
+
+# -- closed-form genera against the per-factor referee ------------------------
+
+
+def _partitions(n, cap):
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, cap), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def tangent_keys(dim):
+    return ["*".join(f"p{k}" for k in part) or "1" for part in _partitions(dim // 4, dim)]
+
+
+def split_keys(dim, p, r):
+    weight, keys = dim // 4, []
+    for a in range(weight + 1):
+        for front in _partitions(a, p):
+            for back in _partitions(weight - a, r):
+                bits = [f"p{k}(F)" for k in front] + [f"p{k}(Fperp)" for k in back]
+                keys.append("*".join(bits) or "1")
+    return keys
+
+
+def _table(rng, keys):
+    return {k: Q(rng.choice([-1, 1]) * rng.randint(1, 99), rng.choice([1, 1, 2, 3]))
+            for k in keys}
+
+
+def test_witten_genus_matches_referee_pairing():
+    rng = random.Random(31)
+    for dim in (0, 4, 8, 12, 16, 6):
+        numbers = CharNumbers(dim, _table(rng, tangent_keys(dim)) if dim % 4 == 0 else {})
+        for order in (1, 2, rng.randint(3, 24 if dim <= 8 else 12)):
+            got = witten_genus(numbers, order)
+            want = referee.paired(referee.witten_density(dim, order), numbers)
+            assert (got.offset, got.order, list(got.coeffs)) == (0, order, want), (dim, order)
+
+
+def test_split_genus_matches_referee_pairing():
+    rng = random.Random(32)
+    for dim in (4, 4, 8, 8, 12, 12, 16):
+        p = rng.randint(0, dim // 2)
+        r = dim // 2 - p
+        spec = SplitManifoldSpec(dim, p, r, _table(rng, split_keys(dim, p, r)))
+        order = rng.randint(1, 20 if dim <= 8 else 10)
+        for variant in ("R", "R1", "R2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegralityWarning)
+                got = split_genus(spec, variant, order)
+            density = referee.split_density(spec.F, spec.Fperp, variant, dim, order)
+            want = referee.paired(density, spec.numbers)
+            assert (got.offset, got.order, list(got.coeffs)) == (0, order, want), (spec, order)
+
+
+class RecordingNumbers(CharNumbers):
+    """A number table that records every monomial a pairing reads."""
+
+    def __init__(self, dim, numbers):
+        super().__init__(dim, numbers)
+        self.read = set()
+
+    def __getitem__(self, mono):
+        self.read.add(mono)
+        return super().__getitem__(mono)
+
+
+def _raises_missing(fn):
+    try:
+        fn()
+    except MissingNumberError:
+        return True
+    return False
+
+
+def assert_reads_like_referee(density, dim, full, compute):
+    """Complete table, then each key dropped in turn: compute raises
+    MissingNumberError exactly when pairing the referee density does, and
+    otherwise reads the same numbers."""
+    for drop in [None] + sorted(full):
+        table = {k: v for k, v in full.items() if k != drop}
+        want, got = RecordingNumbers(dim, table), RecordingNumbers(dim, table)
+        want_raised = _raises_missing(lambda: referee.paired(density, want))
+        got_raised = _raises_missing(lambda: compute(got))
+        assert got_raised == want_raised, drop
+        if not want_raised:
+            assert got.read == want.read, drop
+
+
+def test_missing_numbers_raise_exactly_when_the_referee_reads_them():
+    from genusforge.equivariant import FixedComponent, _static_series
+
+    rng = random.Random(33)
+    for dim in (8, 12, 16):
+        order = rng.randint(1, 8)
+        assert_reads_like_referee(
+            referee.witten_density(dim, order), dim, _table(rng, tangent_keys(dim)),
+            lambda nums: witten_genus(nums, order))
+        p = rng.randint(0, dim // 2)
+        r = dim // 2 - p
+        full = _table(rng, split_keys(dim, p, r))
+        front, back = BundleRoots(p, "F"), BundleRoots(r, "Fperp")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegralityWarning)
+            for variant in ("R", "R1", "R2"):
+                density = referee.split_density(front, back, variant, dim, order)
+                assert_reads_like_referee(
+                    density, dim, full,
+                    lambda nums: split_genus(SplitManifoldSpec(dim, p, r, nums), variant, order))
+            for function, variant in (("G", "R"), ("G1", "R2"), ("G2", "R1")):
+                density = referee.split_density(front, back, variant, dim, order)
+                assert_reads_like_referee(
+                    density, dim, full,
+                    lambda nums: _static_series(FixedComponent(dim, 1, p, r, numbers=nums),
+                                                function, order))
+
+
+def test_zero_order_reads_no_number():
+    numbers = RecordingNumbers(8, {})
+    assert witten_genus(numbers, 0).order == 0
+    spec = SplitManifoldSpec(8, 2, 2, numbers)
+    assert split_genus(spec, "R1", 0).order == 0
+    assert numbers.read == set()
+
+
+def test_a_vanishing_coefficient_reads_no_number():
+    # f = exp(u - u^2/2) with u = a^2 has moments 1, -1/2, so the p1^2
+    # terms of s_1^2/2 - s_2/2 cancel: at order 1 the density has no p1^2
+    # term and p1^2 is never read; the Witten tower's q^1 slot brings it back
+    from genusforge.charclass import genus_sequence
+    from genusforge.genus import _paired_towers
+
+    factor = [1, 0, 1, 0, 0]
+    tangent = BundleRoots(4, None)
+    base = genus_sequence(factor, 8, bundle=None, pairs=4)
+    assert parse_monomial("p1^2") not in base.terms
+    for order in (1, 2, 3, 5):
+        density = referee.witten_tower(KClass.bundle(tangent, 8), order).map_coefficients(
+            lambda c: c * base)
+        assert_reads_like_referee(
+            density, 8, {"p2": Q(5), "p1^2": Q(-3)},
+            lambda nums: _paired_towers(nums, order, ((tangent, factor, "witten"),)))
+    got = _paired_towers(CharNumbers(8, {"p2": 5}), 2, ((tangent, factor, "witten"),))
+    assert list(got.coeffs) == [5, 0]

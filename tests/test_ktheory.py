@@ -15,6 +15,7 @@ from genusforge.ktheory import (
     lambda_total,
     r_variants,
     sym_total,
+    tower_log,
     witten_element,
 )
 from genusforge.series import QSeries
@@ -30,6 +31,7 @@ from oracles import (
     qm_inv,
     qm_mul,
 )
+import referee
 
 
 def check_against(series, naive, assignment, nvars, top):
@@ -226,6 +228,59 @@ def test_twist_rejects_unknown_variant():
     E = KClass.bundle(BundleRoots(1, "A"), 4)
     with pytest.raises(ValueError):
         r_variants(E, "R3", 4)
+
+
+# -- closed-form towers against the per-factor recursion --------------------
+
+
+def assert_same_slots(got, want):
+    assert (got.ring, got.offset, got.order) == (want.ring, want.offset, want.order)
+    for n, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
+        assert a == b, f"slot {n}"
+
+
+def tower_cases():
+    """(KClass, order) over dims 4-20 and orders 1-30, seeded, plus mixed classes.
+
+    The referee's cost grows fast with the dimension, so dims 16 and 20
+    stop at order 16.
+    """
+    rng = random.Random(20)
+    cases = []
+    for top in (4, 8, 12, 16, 20):
+        orders = {1, 2, 30} if top <= 12 else {1, 2, 16}
+        orders |= set(rng.sample(range(3, 30 if top <= 12 else 16), 2))
+        for order in sorted(orders):
+            bundle = BundleRoots(rng.randint(1, top // 2), rng.choice((None, "F")))
+            cases.append((KClass.bundle(bundle, top), order))
+    A, B = BundleRoots(2, "A"), BundleRoots(1, "B")
+    for top, order in ((8, 13), (12, 9), (16, 6)):
+        cases.append((KClass(((A, 2), (B, -1)), shift=3, top=top), order))
+    return cases
+
+
+def test_witten_element_matches_factor_product():
+    for E, order in tower_cases():
+        assert_same_slots(witten_element(E, order), referee.witten_tower(E, order))
+
+
+def test_twist_towers_match_factor_products():
+    for E, order in tower_cases():
+        for variant in ("R", "R1", "R2"):
+            assert_same_slots(r_variants(E, variant, order),
+                              referee.twist_tower(E, variant, order))
+
+
+def test_tower_log_is_the_eisenstein_lambert_series():
+    # Witten: h_k = sum sigma_(2k-1)(n) q^n; R: twice the odd-divisor sums
+    order = 25
+    witten, twist = tower_log("witten", order, 16), tower_log("R", order, 16)
+    for k in range(1, 5):
+        for n in range(1, 13):
+            divisors = [d for d in range(1, n + 1) if n % d == 0]
+            assert witten[k - 1][2 * n] == sum(d ** (2 * k - 1) for d in divisors)
+            assert twist[k - 1][2 * n] == 2 * sum(d ** (2 * k - 1) for d in divisors if d % 2)
+            assert witten[k - 1][2 * n - 1] == twist[k - 1][2 * n - 1] == 0
 
 
 # -- tensor characters ------------------------------------------------------
