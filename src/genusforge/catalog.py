@@ -22,10 +22,7 @@ from genusforge.equivariant import (
     EquivariantModel,
     anomaly_check,
     evaluator,
-    g_eval,
-    g_series,
-    h_eval,
-    h_series,
+    exact_series,
     jacobi_residual,
     lefschetz_eval,
     form_meta,
@@ -40,7 +37,7 @@ from genusforge.genus import (
     subdirac_index,
     witten_genus,
 )
-from genusforge.rings import fraction_str
+from genusforge.rings import fraction_str, laurent_strings
 
 Q = Fraction
 
@@ -82,10 +79,6 @@ class CatalogEntry:
 
 def _series_strings(series, count):
     return [fraction_str(series.coefficient(Q(k, 2))) for k in range(count)]
-
-
-def _laurent_strings(lz):
-    return {str(e): fraction_str(c) for e, c in lz.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +361,6 @@ def _selftest_split(entry, rows):
         _check(rows, variant, got == entry.expected[variant], ", ".join(got))
 
 
-def _exact_series(model, function, order):
-    if function == "H":
-        return h_series(model, order)
-    return g_series(model, function, order)
-
-
-def _numeric_value(model, function, t, tau):
-    if function == "H":
-        return h_eval(model, t, tau)
-    return g_eval(model, function, t, tau)
-
-
 def _selftest_equivariant(entry, rows):
     model = entry.build()
     expected = entry.expected
@@ -387,25 +368,25 @@ def _selftest_equivariant(entry, rows):
     if "anomaly" in expected:
         got = anomaly_check(model)
         _check(rows, "anomaly", got == expected["anomaly"], str(got))
-    series = _exact_series(model, function, SERIES_ORDER)
+    series = exact_series(model, function, SERIES_ORDER)
     if expected.get("zero_series"):
         _check(rows, "zero series", series.is_zero())
         for variant in expected.get("zero_variants", ()):
-            other = _exact_series(model, variant, SERIES_ORDER)
+            other = exact_series(model, variant, SERIES_ORDER)
             _check(rows, f"zero {variant}", other.is_zero())
         t, tau = DUAL_POINT
-        val = abs(_numeric_value(model, function, t, tau))
+        val = abs(evaluator(model, function)(t, tau))
         _check(rows, "zero numeric", val < 1e-12, f"{val:.3g}")
     if "den" in expected:
-        got = _laurent_strings(series.den)
+        got = laurent_strings(series.den)
         _check(rows, "denominator", got == expected["den"], str(got))
     for row, want in expected.get("q_rows", {}).items():
-        got = _laurent_strings(series.coefficient(Fraction(row)))
+        got = laurent_strings(series.coefficient(Fraction(row)))
         _check(rows, f"q^{row}", got == want, str(got))
     for variant, vrows in expected.get("variant_rows", {}).items():
-        other = _exact_series(model, variant, SERIES_ORDER)
+        other = exact_series(model, variant, SERIES_ORDER)
         for row, want in vrows.items():
-            got = _laurent_strings(other.coefficient(Fraction(row)))
+            got = laurent_strings(other.coefficient(Fraction(row)))
             _check(rows, f"{variant} q^{row}", got == want, str(got))
     if "meta" in expected:
         got = form_meta(model, function).to_json()
@@ -426,7 +407,7 @@ def _selftest_equivariant(entry, rows):
                    f"{report['max_residual']:.3g}")
     if expected.get("dual_path"):
         t, tau = DUAL_POINT
-        a = _numeric_value(model, function, t, tau)
+        a = evaluator(model, function)(t, tau)
         b = lefschetz_eval(model, t, tau, function)
         _check(rows, "dual path", abs(a - b) < DUAL_TOL, f"{abs(a - b):.3g}")
 

@@ -33,10 +33,7 @@ from genusforge.equivariant import (
     anomaly_check,
     check_poles,
     evaluator,
-    g_eval,
-    g_series,
-    h_eval,
-    h_series,
+    exact_series,
     jacobi_residual,
     lefschetz_eval,
     form_meta,
@@ -49,7 +46,7 @@ from genusforge.genus import (
     witten_genus,
 )
 from genusforge.ktheory import KClass, witten_element
-from genusforge.rings import fraction_str
+from genusforge.rings import fraction_str, laurent_strings
 from genusforge.theta import KINDS, verify_transform
 
 _GENERA = ("witten", "subdirac", "split-R", "split-R1", "split-R2")
@@ -98,14 +95,10 @@ def _series_rows(series) -> list:
     return [[str(expo), fraction_str(coeff)] for expo, coeff in series.terms()]
 
 
-def _laurent_json(lz) -> dict:
-    return {str(e): fraction_str(c) for e, c in lz.items()}
-
-
 def _exact_json(series) -> dict:
     """ExactSeries as numerator rows over a q-free denominator."""
-    rows = [[str(expo), _laurent_json(coeff)] for expo, coeff in series.num.terms()]
-    return {"den": _laurent_json(series.den), "num": rows}
+    rows = [[str(expo), laurent_strings(coeff)] for expo, coeff in series.num.terms()]
+    return {"den": laurent_strings(series.den), "num": rows}
 
 
 def _verdict(report, name, ok, **extra):
@@ -209,26 +202,22 @@ def _cmd_equivariant(args, report):
         point = (_parse_complex(args.t, "--t"), _parse_complex(args.tau, "--tau"))
     if args.exact:
         order = args.order if args.order is not None else 8
-        series = (h_series(model, order) if function == "H"
-                  else g_series(model, function, order))
+        series = exact_series(model, function, order)
         results.update(mode="exact", order=order, series=_exact_json(series))
         if point is not None:
             check_poles(model, point[0])
             results["value"] = str(series.eval(*point))
     else:
+        if args.order is not None:
+            raise SchemaError("--order sets the series truncation of --exact; "
+                              "numeric values take their accuracy from the tolerance")
         if point is None:
             raise SchemaError("numeric mode needs --t and --tau (or pass --exact)")
-        order = args.order if args.order is not None else 24
         if args.command == "lefschetz":
-            value = lefschetz_eval(model, point[0], point[1], function, order=order)
-            path = "lefschetz"
-        elif function == "H":
-            value = h_eval(model, point[0], point[1], order=order)
-            path = "quotient"
+            value, path = lefschetz_eval(model, *point, function), "lefschetz"
         else:
-            value = g_eval(model, function, point[0], point[1], order=order)
-            path = "quotient"
-        results.update(mode="numeric", order=order, path=path, value=str(value))
+            value, path = evaluator(model, function)(*point), "quotient"
+        results.update(mode="numeric", path=path, value=str(value))
     results["t"] = args.t
     results["tau"] = args.tau
     report["results"] = results
@@ -254,7 +243,7 @@ def _cmd_jacobi_verify(args, report):
             f"checking under {args.subgroup} instead of the derived {meta.subgroup}"
         )
         meta = JacobiFormMeta(meta.weight, meta.index, args.subgroup, meta.lattice)
-    fn = evaluator(model, function, order=args.order)
+    fn = evaluator(model, function)
     sub = jacobi_residual(fn, meta, _jacobi_samples(args.samples, args.seed), tol=args.tol)
     _verdict(report, f"jacobi {function}", sub["pass"],
              max_residual=sub["max_residual"], tol=args.tol)
@@ -329,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exact", action="store_true",
                        help="emit the exact w-Laurent q-series instead")
         p.add_argument("--order", type=int,
-                       help="series truncation (default 24 numeric, 8 exact)")
+                       help="series truncation of --exact (default 8)")
         p.add_argument("--variant", choices=("G", "G1", "G2"), default="G",
                        help="which split variant (G subcommands)")
         p.set_defaults(handler=_cmd_equivariant)
@@ -345,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--samples", type=int, default=4)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--order", type=int, default=24)
     p.set_defaults(handler=_cmd_jacobi_verify)
 
     p_cat = groups.add_parser("catalog", help="built-in models")

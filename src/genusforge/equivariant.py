@@ -15,7 +15,10 @@ same assembly with the G static parts and no moving Fperp blocks.
 
 Everything exists twice: an exact q-expansion with Laurent coefficients
 in w = e^(pi i t) (an ExactSeries, a series numerator over a q-free
-denominator), and a numeric evaluator at a point (t, tau).  The slash
+denominator), and a numeric evaluator at a point (t, tau).  The numeric
+paths take their accuracy from tol alone: the static parts sum the Lambert
+series of their towers until the tail bound is below tol, and the moving
+blocks truncate their products when the dropped factors are.  The slash
 action and lattice shifts give numeric Jacobi-law residual reports.
 
 Moving blocks over a positive-dimensional component would need the
@@ -32,7 +35,8 @@ from fractions import Fraction
 
 from genusforge.charclass import BundleRoots, CharNumbers, ahat_factor, l_factor
 from genusforge.errors import PoleError, SchemaError
-from genusforge.genus import _paired_towers
+from genusforge.genus import _paired_series, _paired_towers
+from genusforge.ktheory import tower_values
 from genusforge.rings import LAURENT, RATIONAL, LaurentZ, as_fraction, as_int, fraction_str
 from genusforge.series import QSeries
 from genusforge.theta import (
@@ -40,7 +44,9 @@ from genusforge.theta import (
     THETA1,
     THETA2,
     THETA3,
+    _factor_count,
     body_factors,
+    check_tau,
     divide_rows,
     euler_factors,
     multiply_rows,
@@ -359,25 +365,51 @@ def _static_monomials(comp: FixedComponent):
                 yield "*".join(bits) or "1"
 
 
-def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
-    """The paired static density as a q-series of rationals.
+def _static_constant(comp: FixedComponent):
+    """The paired static density when it is a constant, else None.
 
-    Two cases skip the towers: over a point the density is the constant 1,
-    and a table that holds every monomial the pairing can read, all zero,
-    pairs every slot to zero.  An incomplete table takes the full path, so
-    a missing number still raises.
+    Over a point the density is the constant 1, and a table that holds
+    every monomial the pairing can read, all zero, pairs to zero.  An
+    incomplete table takes the towers, so a missing number still raises.
     """
     if comp.dim == 0:
-        return QSeries(RATIONAL, 0, [comp.numbers["1"]], order)
+        return comp.numbers["1"]
     numbers = comp.numbers
     if not any(numbers.numbers.values()) and all(m in numbers for m in _static_monomials(comp)):
-        return QSeries.zero(RATIONAL, order)
+        return Fraction(0)
+    return None
+
+
+def _static_towers(comp: FixedComponent, variant: str):
+    """(bundle, genus factor, tower name) of the static F and Fperp blocks."""
     top = comp.dim
-    front = BundleRoots(comp.f0_pairs, "F")
-    back = BundleRoots(comp.fperp0_pairs, "Fperp")
     second = l_factor(top) if variant == "G" else ahat_factor(top)
-    towers = ((front, ahat_factor(top), "witten"), (back, second, _VARIANT_TWIST[variant]))
-    return _paired_towers(numbers, order, towers)
+    return ((BundleRoots(comp.f0_pairs, "F"), ahat_factor(top), "witten"),
+            (BundleRoots(comp.fperp0_pairs, "Fperp"), second, _VARIANT_TWIST[variant]))
+
+
+def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
+    """The paired static density as a q-series of rationals."""
+    const = _static_constant(comp)
+    if const is not None:
+        return QSeries(RATIONAL, 0, [const] if const else (), order)
+    return _paired_series(comp.numbers, order, _static_towers(comp, variant))
+
+
+def _static_value(comp: FixedComponent, variant: str, tau, tol: float) -> complex:
+    """The paired static density at tau, from the Lambert sums of its towers.
+
+    Each tower value is within tol of its infinite sum (ktheory.tower_values),
+    and the pairing is _static_series's with one slot.
+    """
+    const = _static_constant(comp)
+    if const is not None:
+        return complex(const)
+    x = cmath.exp(1j * math.pi * complex(tau))
+    rows = [(bundle, factor, [[v] for v in tower_values(tower, x, comp.dim, tol)])
+            for bundle, factor, tower in _static_towers(comp, variant)]
+    (value,), den = _paired_towers(comp.numbers, 1, rows)
+    return value / den
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +473,7 @@ class ExactSeries:
     def eval(self, t, tau) -> complex:
         """Numeric value: truncation error is of the size of the first
         dropped q-power."""
+        check_tau(tau)
         w = cmath.exp(1j * math.pi * complex(t))
         den = complex(self.den(w))
         acc = 0j
@@ -501,20 +534,38 @@ def _component_series(comp: FixedComponent, variant: str, order: int) -> ExactSe
     return ExactSeries(rows_series(rows), LaurentZ.from_dict(den))
 
 
+def _variant(model: EquivariantModel, function: str) -> str:
+    """The static variant of a genus function, after checking the model's mode.
+
+    H is the foliated-mode function and takes the G static parts; G, G1
+    and G2 are the split-mode functions.
+    """
+    if function == "H":
+        if model.mode != "foliated":
+            raise SchemaError("H is the foliated-mode function")
+        return "G"
+    if model.mode != "split":
+        raise SchemaError("G functions belong to split mode")
+    if function not in _VARIANT_THETA:
+        raise SchemaError(f"unknown genus function {function!r}")
+    return function
+
+
 def h_series(model: EquivariantModel, order: int) -> ExactSeries:
     """Exact q-expansion of the foliated genus function H."""
-    if model.mode != "foliated":
-        raise SchemaError("H is the foliated-mode function")
-    return _sum_components(model, "G", order)
+    return _sum_components(model, _variant(model, "H"), order)
 
 
 def g_series(model: EquivariantModel, variant: str, order: int) -> ExactSeries:
     """Exact q-expansion of a split-mode genus function G, G1, or G2."""
-    if model.mode != "split":
-        raise SchemaError("G functions belong to split mode")
-    if variant not in _VARIANT_THETA:
-        raise SchemaError(f"unknown variant {variant!r}")
-    return _sum_components(model, variant, order)
+    return _sum_components(model, _variant(model, variant), order)
+
+
+def exact_series(model: EquivariantModel, function: str, order: int) -> ExactSeries:
+    """Exact q-expansion of H or a G variant, by name."""
+    if function == "H":
+        return h_series(model, order)
+    return g_series(model, function, order)
 
 
 def _sum_components(model, variant, order):
@@ -542,13 +593,6 @@ def check_poles(model: EquivariantModel, t):
             raise PoleError(f"speed {s} puts {s}*t = {x:.12g} on a pole")
 
 
-def _static_value(comp, variant, order, tau) -> complex:
-    acc = 0j
-    for expo, coeff in _static_series(comp, variant, order).terms():
-        acc += float(coeff) * _qpow(tau, expo)
-    return acc
-
-
 def _w_eval(m, t, tau, tol) -> complex:
     return theta_prime0(tau, tol) / (2j * math.pi * theta_eval(THETA, m * t, tau, tol))
 
@@ -562,53 +606,41 @@ def _v_eval(variant, n, t, tau, tol) -> complex:
     return val
 
 
-def _eval_components(model, variant, t, tau, order, tol):
+def _sum_values(model, variant, t, tau, tol, w_factor, v_factor):
+    """Sum over components of orientation x static value x moving factors."""
     check_poles(model, t)
+    check_tau(tau)
     total = 0j
     for comp in model.components:
         _check_root_free(comp)
-        val = comp.orientation * _static_value(comp, variant, order, tau)
+        val = comp.orientation * _static_value(comp, variant, tau, tol)
         for rank, m in comp.moving_f:
-            val *= _w_eval(m, t, tau, tol) ** rank
+            val *= w_factor(m, t, tau, tol) ** rank
         for rank, n in comp.moving_fperp:
-            val *= _v_eval(variant, n, t, tau, tol) ** rank
+            val *= v_factor(variant, n, t, tau, tol) ** rank
         total += val
     return total
 
 
-def h_eval(model: EquivariantModel, t, tau, order: int = 24, tol: float = 1e-12) -> complex:
+def h_eval(model: EquivariantModel, t, tau, tol: float = 1e-12) -> complex:
     """Numeric H(t, tau) through the theta quotients."""
-    if model.mode != "foliated":
-        raise SchemaError("H is the foliated-mode function")
-    return _eval_components(model, "G", t, tau, order, tol)
+    return _sum_values(model, _variant(model, "H"), t, tau, tol, _w_eval, _v_eval)
 
 
-def g_eval(model: EquivariantModel, variant: str, t, tau,
-           order: int = 24, tol: float = 1e-12) -> complex:
+def g_eval(model: EquivariantModel, variant: str, t, tau, tol: float = 1e-12) -> complex:
     """Numeric G-variant value through the theta quotients."""
-    if model.mode != "split":
-        raise SchemaError("G functions belong to split mode")
-    if variant not in _VARIANT_THETA:
-        raise SchemaError(f"unknown variant {variant!r}")
-    return _eval_components(model, variant, t, tau, order, tol)
+    return _sum_values(model, _variant(model, variant), t, tau, tol, _w_eval, _v_eval)
 
 
-def evaluator(model: EquivariantModel, function: str = "H", order: int = 24, tol: float = 1e-12):
+def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12):
     """A callable (t, tau) -> complex for H or a G variant."""
     if function == "H":
-        return lambda t, tau: h_eval(model, t, tau, order, tol)
-    return lambda t, tau: g_eval(model, function, t, tau, order, tol)
+        return lambda t, tau: h_eval(model, t, tau, tol)
+    return lambda t, tau: g_eval(model, function, t, tau, tol)
 
 
 # ---------------------------------------------------------------------------
 # the direct Lefschetz products: the same values from per-line factors
-
-
-def _product_terms(absq, grow, tol):
-    n, power = 1, absq
-    while power * grow > tol and n < 10**4:
-        n, power = n + 1, power * absq
-    return n
 
 
 def _w_direct(m, t, tau, tol) -> complex:
@@ -616,7 +648,7 @@ def _w_direct(m, t, tau, tol) -> complex:
     z = cmath.exp(2j * math.pi * m * complex(t))
     grow = max(abs(z), 1 / abs(z), 1.0)
     out = 1 / (2 * cmath.sinh(1j * math.pi * m * complex(t)))
-    for k in range(1, _product_terms(abs(q), grow, tol) + 1):
+    for k in range(1, _factor_count(abs(q), grow, tol) + 1):
         qk = q**k
         out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
     return out
@@ -626,7 +658,7 @@ def _v_direct(variant, n, t, tau, tol) -> complex:
     q = cmath.exp(2j * math.pi * complex(tau))
     z = cmath.exp(2j * math.pi * n * complex(t))
     grow = max(abs(z), 1 / abs(z), 1.0)
-    terms = _product_terms(abs(q) ** 0.5, grow, tol)
+    terms = _factor_count(abs(q) ** 0.5, grow, tol)
     arg = 1j * math.pi * n * complex(t)
     if variant == "G":
         out = cmath.cosh(arg) / cmath.sinh(arg)
@@ -645,34 +677,14 @@ def _v_direct(variant, n, t, tau, tol) -> complex:
 
 
 def lefschetz_eval(model: EquivariantModel, t, tau, function: str = "H",
-                   order: int = 24, tol: float = 1e-12) -> complex:
+                   tol: float = 1e-12) -> complex:
     """The same genus value from literal per-line infinite products.
 
     The moving factors are sinh and tanh lines times their q-tower
     products, truncated when the dropped factors are below tol; this is
     the cross-check path for the theta-quotient evaluators.
     """
-    if function == "H":
-        if model.mode != "foliated":
-            raise SchemaError("H is the foliated-mode function")
-        variant = "G"
-    else:
-        if model.mode != "split":
-            raise SchemaError("G functions belong to split mode")
-        if function not in _VARIANT_THETA:
-            raise SchemaError(f"unknown genus function {function!r}")
-        variant = function
-    check_poles(model, t)
-    total = 0j
-    for comp in model.components:
-        _check_root_free(comp)
-        val = comp.orientation * _static_value(comp, variant, order, tau)
-        for rank, m in comp.moving_f:
-            val *= _w_direct(m, t, tau, tol) ** rank
-        for rank, n in comp.moving_fperp:
-            val *= _v_direct(variant, n, t, tau, tol) ** rank
-        total += val
-    return total
+    return _sum_values(model, _variant(model, function), t, tau, tol, _w_direct, _v_direct)
 
 
 # ---------------------------------------------------------------------------

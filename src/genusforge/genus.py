@@ -215,20 +215,21 @@ def l_genus(numbers: CharNumbers) -> Fraction:
     return pair_fundamental(poly, numbers)
 
 
-def _paired_towers(numbers: CharNumbers, order: int, towers) -> QSeries:
-    """<prod over (bundle, factor, tower) of genus(factor) ch(tower), [M]>.
+def _paired_towers(numbers: CharNumbers, order: int, towers):
+    """<prod over (bundle, factor, rows) of genus(factor) ch(tower), [M]>.
 
-    towers lists (BundleRoots, factor series, tower name) with the towers
-    of ktheory.tower_log.  The per-slot coefficient of every top-degree
-    p-monomial is combined first, and a number is read only when that
-    coefficient is nonzero in some slot, so a missing number raises
-    exactly when the density needs it.
+    rows are a tower's Lambert rows h_1 .. h_(dim//4) over `order` slots:
+    ktheory.tower_log rows for an exact series, or one slot holding the
+    ktheory.tower_values numbers for a value at one q.  Returns the paired
+    row and its integer denominator.  The per-slot coefficient of every
+    top-degree p-monomial is combined first, and a number is read only
+    when that coefficient is nonzero in some slot, so a missing number
+    raises exactly when the density needs it.
     """
     top = numbers.dim
     logs = []
-    for bundle, factor, tower in towers:
+    for bundle, factor, rows in towers:
         moments = _even_to_moment_log(factor, top)
-        rows = tower_log(tower, order, top)
         for k, (x, h) in enumerate(zip(bundle_power_sums(bundle, top), rows), 1):
             # L_k = c_k + h_k / ((2k)!/2) over one integer denominator
             c, cden = moments[k], ch_denominator(k)
@@ -246,12 +247,22 @@ def _paired_towers(numbers: CharNumbers, order: int, towers) -> QSeries:
         total, den = _row_sum(terms, order)
         if any(total):
             paired.append((numbers[mono] / den, total))
-    vals, den = _row_sum(paired, order)
+    return _row_sum(paired, order)
+
+
+def _paired_series(numbers: CharNumbers, order: int, towers) -> QSeries:
+    """_paired_towers over the tower_log rows of the named towers, as rationals.
+
+    towers lists (BundleRoots, factor series, tower name).
+    """
+    rows = [(bundle, factor, tower_log(tower, order, numbers.dim))
+            for bundle, factor, tower in towers]
+    vals, den = _paired_towers(numbers, order, rows)
     return QSeries(RATIONAL, 0, [Fraction(v, den) for v in vals], order)
 
 
 def _row_sum(terms, order: int):
-    """sum of scale * row over (Fraction scale, integer row) as (integer row, den)."""
+    """sum of scale * row over (Fraction scale, row) as (row, integer den)."""
     den = math.lcm(*(scale.denominator for scale, _ in terms))
     total = [0] * order
     for scale, row in terms:
@@ -264,7 +275,7 @@ def witten_genus(numbers: CharNumbers, order: int) -> QSeries:
     """<Ahat(TM) ch(Psi_q(TM)), [M]> as a q-series of exact rationals."""
     dim = numbers.dim
     tangent = BundleRoots(dim // 2, None)
-    return _paired_towers(numbers, order, ((tangent, ahat_factor(dim), "witten"),))
+    return _paired_series(numbers, order, ((tangent, ahat_factor(dim), "witten"),))
 
 
 _VARIANTS = ("R", "R1", "R2")
@@ -282,4 +293,4 @@ def split_genus(spec: SplitManifoldSpec, variant: str, order: int) -> QSeries:
     top = spec.dim
     second = l_factor(top) if variant == "R" else ahat_factor(top)
     towers = ((spec.F, ahat_factor(top), "witten"), (spec.Fperp, second, variant))
-    return _paired_towers(spec.numbers, order, towers)
+    return _paired_series(spec.numbers, order, towers)

@@ -16,7 +16,8 @@ tower on E - rank E is sum_k 2 h_k(q) s_k(E) / (2k)! with integer Lambert
 rows h_k; for the Witten element h_k = sum_n sigma_(2k-1)(n) q^n, the
 q-part of the Eisenstein series G_2k.  Towers are expanded from that
 closed form: exp of a sum linear in the s_k is a sum over the monomials in
-the s_k of products of rational q-series.  sym_total and lambda_total keep
+the s_k of products of rational q-series; tower_values sums the same rows
+at one q, every factor in closed form.  sym_total and lambda_total keep
 the per-factor recursion (an exp over GradedPoly coefficients), which the
 tests use as the independent referee.
 """
@@ -236,6 +237,87 @@ def tower_log(tower: str, order: int, top: int) -> list:
     return rows
 
 
+def _eulerian(n: int) -> list:
+    """Coefficients of the Eulerian polynomial A_n, n >= 1.
+
+    sum_(i >= 1) i^n v^i = v A_n(v) / (1 - v)^(n + 1) for |v| < 1.  The
+    list is a palindrome, so it reads the same lowest or highest first.
+    """
+    row = [1]
+    for m in range(2, n + 1):
+        row = [(j + 1) * (row[j] if j < m - 1 else 0) + (m - j) * (row[j - 1] if j else 0)
+               for j in range(m)]
+    return row
+
+
+def _poly_value(coeffs, v):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def tower_slots(r: float, top: int, tol: float) -> int:
+    """The window N of tower_values at |x| = r: see the bound stated there."""
+    if not 0 <= r < 1:
+        raise ValueError("the Lambert sums need |q| < 1")
+    if top < 4 or r == 0:
+        return 1
+    n = 2 * (top // 4) - 1
+    poly = _eulerian(n)
+    # the bound is at least 2 r^N / (1 - r): no window below this one fits
+    slots = max(1, math.ceil(math.log(tol * (1 - r) / 2) / math.log(r)))
+    p = r**slots
+    while 2 * p * _poly_value(poly, p) > tol * (1 - r) * (1 - p) ** (n + 1):
+        slots, p = slots + 1, p * r
+    return slots
+
+
+def tower_values(tower: str, x: complex, top: int, tol: float) -> list:
+    """The Lambert sums h_1 .. h_(top//4) of a tower at x = q^(1/2), |x| < 1.
+
+    These are tower_log's rows summed at q without truncating any factor:
+    a factor (stride, sign, exterior) adds sum_i +-i^n u^i with n = 2k - 1
+    and u = x^stride.  With v = -u when sign < 0 and exterior differ, and
+    v = u otherwise, that sum is +-v A_n(v) / (1 - v)^(n + 1), with minus
+    for the Lambda factors (A_n the Eulerian polynomial).
+
+    Only the factors of _tower_factors(tower, N) are summed.  With r = |x|,
+    a factor of stride s >= N adds at most
+    sum_i i^n r^(s i) = r^s A_n(r^s) / (1 - r^s)^(n + 1), which is at most
+    r^s A_n(r^N) / (1 - r^N)^(n + 1), and no stride holds more than two
+    factors.  So the factors left out add at most
+
+        2 r^N A_n(r^N) / ((1 - r) (1 - r^N)^(n + 1)),
+
+    which grows with n.  N is the first window where this bound at the top
+    k is at most tol, so leaving those factors out moves no value by more
+    than tol.  Rounding comes on top: a few units in the last place of the
+    largest factor summed.
+    """
+    count = top // 4
+    slots = tower_slots(abs(x), top, tol)
+    polys = [_eulerian(2 * k - 1) for k in range(1, count + 1)]
+    powers = [1]
+    for _ in range(slots):
+        powers.append(powers[-1] * x)
+    out = [0j] * count
+    for stride, sign, exterior in _tower_factors(tower, slots):
+        v = powers[stride]
+        if (sign < 0) != exterior:
+            v = -v
+        w = 1 - v
+        inv2 = 1 / (w * w)
+        scale = -v if exterior else v
+        for k, poly in enumerate(polys):
+            scale *= inv2
+            acc = 0
+            for c in poly:  # Horner's rule inline: this loop is the hot one
+                acc = acc * v + c
+            out[k] += scale * acc
+    return out
+
+
 def ch_denominator(k: int) -> int:
     """(2k)!/2: ch has s_k coefficient 2/(2k)! per root pair."""
     return math.factorial(2 * k) // 2
@@ -250,7 +332,8 @@ def power_sum_exp(logs, order: int, top: int, exact: bool = False):
     """Expand exp(sum_v L_v(q) x_v) monomial by monomial in the x_v.
 
     logs holds (x_v, k_v, row_v, den_v): a GradedPoly x_v of degree 4 k_v
-    and the truncated series L_v = row_v / den_v with integer row_v.
+    and the truncated series L_v = row_v / den_v with integer row_v, or
+    with a one-slot row_v holding the value of L_v at one q.
     Yields (row, den, poly) for every multiset {v^m_v} of total degree at
     most top (exactly top when exact): row / den = prod L_v^m_v / m_v! and
     poly = prod x_v^m_v.  Multisets whose series vanish are skipped.

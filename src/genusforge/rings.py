@@ -44,6 +44,11 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def laurent_strings(lz) -> dict:
+    """A LaurentZ as {exponent: fraction string} over its nonzero terms."""
+    return {str(e): fraction_str(c) for e, c in lz.items()}
+
+
 _QZERO = Fraction(0)
 
 

@@ -189,9 +189,10 @@ def theta_prime0_series(order: int) -> ThetaSeries:
 # numeric evaluation
 
 
-def _check_tau(tau):
-    if complex(tau).imag < TAU_FLOOR:
-        raise ValueError(
+def check_tau(tau):
+    """Reject tau below the documented evaluation floor Im(tau) >= TAU_FLOOR."""
+    if not complex(tau).imag >= TAU_FLOOR:
+        raise SchemaError(
             f"Im(tau) = {complex(tau).imag} is below the evaluation floor {TAU_FLOOR}"
         )
 
@@ -225,7 +226,7 @@ def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
     """Numeric theta value from the product formula."""
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
-    _check_tau(tau)
+    check_tau(tau)
     v = complex(v)
     tau = complex(tau)
     q = cmath.exp(2j * cmath.pi * tau)
@@ -250,7 +251,7 @@ def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
 
 def theta_prime0(tau, tol: float = 1e-12) -> complex:
     """d theta / dv at v = 0: 2 pi q^(1/8) c(q)^3."""
-    _check_tau(tau)
+    check_tau(tau)
     tau = complex(tau)
     q = cmath.exp(2j * cmath.pi * tau)
     return 2.0 * cmath.pi * cmath.exp(2j * cmath.pi * tau / 8.0) * euler_eval(q, tol) ** 3

@@ -594,3 +594,28 @@ def naive_twist(nvars, top, pair_vars, variant, q_end):
                 out = qm_mul(out, inv, q_end)
         m += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# a truncated series summed at a float point without rounding
+
+
+def exact_value(coeffs, x):
+    """sum c_k x^k for rational c_k, exact at the float point x, rounded once.
+
+    Floats are dyadic, so x = (a + b i) / d with integers a, b, d, and the
+    scaled Horner sum runs in integers.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    (ar, dr), (ai, di) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    d = max(dr, di)
+    a, b = ar * (d // dr), ai * (d // di)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    re = im = 0
+    scale = 1
+    for c in reversed(coeffs):
+        re, im = re * a - im * b, re * b + im * a
+        re += c.numerator * (den // c.denominator) * scale
+        scale *= d
+    scale = den * (scale // d)
+    return complex(float(Fraction(re, scale)), float(Fraction(im, scale)))

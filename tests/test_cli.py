@@ -117,6 +117,18 @@ _MALFORMED = {
             {"dim": 0, "orientation": 1, "moving_f": [{"rank": 1, "m": "a"}],
              "numbers": {"1": 1}}]},
     ),
+    "tau_below_floor": (
+        ["equivariant", "H", "--t", "0.2", "--tau=0.01j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "lefschetz_tau_below_floor": (
+        ["equivariant", "lefschetz", "--t", "0.2", "--tau", "0.01j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "lefschetz_tau_below_axis": (
+        ["equivariant", "lefschetz", "--t", "0.2", "--tau=-0.1j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
 }
 
 
@@ -193,6 +205,28 @@ def test_equivariant_exact_series(free_split_file):
     assert series["den"] == get("free_split_point").expected["den"]
     rows = dict((expo, row) for expo, row in series["num"])
     assert rows["1/2"] == get("free_split_point").expected["variant_rows"]["G1"]["1/2"]
+
+
+def test_order_belongs_to_exact_mode(free_point_file):
+    point = ["--t", "0.23-0.04j", "--tau", "0.15+0.9j"]
+    for command in ("H", "lefschetz"):
+        code, report, _ = run(["equivariant", command, "--model", free_point_file,
+                               "--order", "30"] + point)
+        assert code == 2
+        assert report["error"]["type"] == "SchemaError"
+        assert "--exact" in report["error"]["message"]
+        code, report, _ = run(["equivariant", command, "--model", free_point_file] + point)
+        assert code == 0 and "order" not in report["results"]
+    code, report, _ = run(["equivariant", "H", "--model", free_point_file, "--exact",
+                           "--order", "3"] + point)
+    assert code == 0 and report["results"]["order"] == 3
+
+
+def test_jacobi_verify_has_no_order(capsys, free_point_file):
+    with pytest.raises(SystemExit) as info:
+        run(["jacobi", "verify", "--model", free_point_file, "--order", "24"])
+    assert info.value.code == 2
+    assert "--order" in capsys.readouterr().err
 
 
 def test_equivariant_numeric_needs_point(free_point_file):

@@ -29,13 +29,15 @@ from genusforge.equivariant import (
     shift_factor,
     subgroup_member,
 )
-from genusforge.errors import PoleError, SchemaError
+from genusforge.errors import MissingNumberError, PoleError, SchemaError
+from genusforge.ktheory import tower_slots
 from genusforge.rings import LAURENT, RATIONAL, LaurentZ
 from genusforge.series import QSeries
 from genusforge.theta import theta_eval, theta_prime0
 
 from oracles import (
     euler_product_oracle,
+    exact_value,
     tadd,
     theta_body_oracle,
     tinv,
@@ -447,6 +449,55 @@ def test_mode_mismatch_errors():
         h_series(free_split_model(), 5)
     with pytest.raises(SchemaError):
         g_series(free_point_model(), "G", 5)
+
+
+def static_numbers(dim, f_pairs, rng):
+    """Seeded numbers on every top-degree monomial of a static block."""
+    from genusforge.equivariant import _static_monomials
+
+    shape = FixedComponent(dim, 1, f_pairs, dim // 2 - f_pairs)
+    return {m: rng.choice([-1, 1]) * rng.randint(1, 99) for m in _static_monomials(shape)}
+
+
+def static_model(function, dim, f_pairs, numbers):
+    comp = FixedComponent(dim, -1, f_pairs, dim // 2 - f_pairs, numbers=numbers)
+    mode = "foliated" if function == "H" else "split"
+    return EquivariantModel(mode, f_pairs, dim // 2 - f_pairs, 0, [comp])
+
+
+def test_static_values_near_the_floor_match_the_exact_series():
+    # the exact series at twice the slot count of the Lambert sums, summed
+    # in exact arithmetic at the same float q^(1/2) and rounded once
+    from genusforge.equivariant import _static_series
+
+    rng = random.Random(7)
+    for dim, f_pairs in ((4, 1), (8, 2), (8, 3)):
+        for function in ("H", "G", "G1", "G2"):
+            model = static_model(function, dim, f_pairs, static_numbers(dim, f_pairs, rng))
+            comp = model.components[0]
+            for tau in (0.13 + 0.05j, -0.31 + 0.2j, 0.13 + 1j):
+                got = evaluator(model, function)(0.2, tau)
+                x = cmath.exp(1j * math.pi * tau)
+                slots = 2 * tower_slots(abs(x), dim, 1e-12)
+                series = _static_series(comp, "G" if function == "H" else function, slots)
+                want = comp.orientation * exact_value(series.coeffs, x)
+                assert abs(got - want) <= 1e-10 * abs(want), (dim, function, tau)
+
+
+def test_numeric_static_values_read_missing_numbers():
+    rng = random.Random(11)
+    full = static_numbers(8, 2, rng)
+    for function in ("H", "G", "G1", "G2"):
+        for gap in full:
+            model = static_model(function, 8, 2, {m: v for m, v in full.items() if m != gap})
+            with pytest.raises(MissingNumberError):
+                evaluator(model, function)(0.2, 0.1 + 0.3j)
+            with pytest.raises(MissingNumberError):
+                lefschetz_eval(model, 0.2, 0.1 + 0.3j, function)
+    # an incomplete all-zero table takes the towers and reports the gap
+    with pytest.raises(MissingNumberError):
+        h_eval(static_model("H", 8, 2, {"p2(F)": 0}), 0.2, 0.3j)
+    assert h_eval(static_model("H", 8, 2, dict.fromkeys(full, 0)), 0.2, 0.3j) == 0
 
 
 def test_dual_path_agreement():

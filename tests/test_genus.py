@@ -400,7 +400,7 @@ def test_a_vanishing_coefficient_reads_no_number():
     # terms of s_1^2/2 - s_2/2 cancel: at order 1 the density has no p1^2
     # term and p1^2 is never read; the Witten tower's q^1 slot brings it back
     from genusforge.charclass import genus_sequence
-    from genusforge.genus import _paired_towers
+    from genusforge.genus import _paired_series
 
     factor = [1, 0, 1, 0, 0]
     tangent = BundleRoots(4, None)
@@ -411,6 +411,6 @@ def test_a_vanishing_coefficient_reads_no_number():
             lambda c: c * base)
         assert_reads_like_referee(
             density, 8, {"p2": Q(5), "p1^2": Q(-3)},
-            lambda nums: _paired_towers(nums, order, ((tangent, factor, "witten"),)))
-    got = _paired_towers(CharNumbers(8, {"p2": 5}), 2, ((tangent, factor, "witten"),))
+            lambda nums: _paired_series(nums, order, ((tangent, factor, "witten"),)))
+    got = _paired_series(CharNumbers(8, {"p2": 5}), 2, ((tangent, factor, "witten"),))
     assert list(got.coeffs) == [5, 0]

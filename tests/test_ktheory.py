@@ -1,5 +1,7 @@
 """Power towers checked against literal character expansion in explicit roots."""
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -16,11 +18,14 @@ from genusforge.ktheory import (
     r_variants,
     sym_total,
     tower_log,
+    tower_slots,
+    tower_values,
     witten_element,
 )
 from genusforge.series import QSeries
 
 from oracles import (
+    exact_value,
     graded_to_mpoly,
     mexp_scaled,
     naive_lambda,
@@ -281,6 +286,49 @@ def test_tower_log_is_the_eisenstein_lambert_series():
             assert witten[k - 1][2 * n] == sum(d ** (2 * k - 1) for d in divisors)
             assert twist[k - 1][2 * n] == 2 * sum(d ** (2 * k - 1) for d in divisors if d % 2)
             assert witten[k - 1][2 * n - 1] == twist[k - 1][2 * n - 1] == 0
+
+
+def test_tower_values_are_the_summed_tower_log_rows():
+    # the rows at 300 slots are exact past any tol used here; each value
+    # may differ by its tail bound plus the rounding of its summed factors
+    for tau in (0.5j, 0.8j, 0.3 + 0.35j, -0.2 + 0.6j):
+        x = cmath.exp(1j * math.pi * tau)
+        for tower in ("witten", "R", "R1", "R2"):
+            want = [exact_value(row, x) for row in tower_log(tower, 300, 16)]
+            for e in range(8, 49):
+                tol = 10 ** (-e / 4)
+                for top in (4, 8, 12, 16):
+                    got = tower_values(tower, x, top, tol)
+                    assert len(got) == top // 4
+                    for k, (a, b) in enumerate(zip(got, want), 1):
+                        assert abs(a - b) <= tol + 4e-15 * max(1.0, abs(b)), (tau, tower, tol, k)
+
+
+def test_tower_slots_is_the_first_window_under_the_stated_bound():
+    # the tail bound of tower_values, 2 r^N A_n(r^N) / ((1 - r) (1 - r^N)^(n + 1)),
+    # with its Eulerian quotient summed directly as sum_i i^n r^(N i)
+    def bound(r, n, slots):
+        if slots < 1:
+            return math.inf
+        p, total, i = r**slots, 0.0, 1
+        while True:
+            term = i**n * p**i
+            total += term
+            if term < 1e-30 * total:
+                return 2 * total / (1 - r)
+            i += 1
+
+    for im in (0.05, 0.2, 0.5, 1.0, 2.0):
+        r = math.exp(-math.pi * im)
+        for top in (4, 8, 12, 16):
+            for tol in (1e-3, 1e-8, 1e-12):
+                slots = tower_slots(r, top, tol)
+                n = 2 * (top // 4) - 1
+                assert bound(r, n, slots) <= tol < bound(r, n, slots - 1), (im, top, tol)
+    assert tower_values("R", 0.3, 3, 1e-12) == []
+    assert tower_slots(0.0, 16, 1e-12) == 1
+    with pytest.raises(ValueError):
+        tower_slots(1.0, 8, 1e-12)
 
 
 # -- tensor characters ------------------------------------------------------
