@@ -1,9 +1,10 @@
-"""Interpreted fallbacks for the convolution kernels.
+"""Convolution and inversion kernels of the series and Laurent rings.
 
 Coefficients are opaque ring elements combined with + and *; a falsy
 element counts as zero and is skipped.
 """
 
+# benchmark results record the backend that computed them
 BACKEND = "pure"
 
 

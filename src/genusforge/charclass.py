@@ -2,9 +2,15 @@
 
 Bundles enter through formal root pairs +-a_j with p(E) = prod(1 + a_j^2),
 so p_i is the i-th elementary symmetric polynomial in the squares a_j^2
-and carries cohomological degree 4i.  Multiplicative sequences are built
-in the power-sum basis (log of the factor series, one power sum per even
-moment) and rewritten in the p_i via the Newton identities.
+and carries cohomological degree 4i.  The power sums s_k of the a_j^2
+are written in the p_i by the Newton identities (bundle_power_sums), with
+a bundle's pair cap imposed on the p_i alone.
+
+power_sum_exp is the one expansion of an exponential of a form linear in
+the s_k, monomial by monomial, and exp_slots sums it per q-slot.  A
+multiplicative sequence is exp(sum_k c_k s_k) with c_k the moments of
+log of its factor series; the K-theory towers and the genus pairings
+expand their own linear forms the same way.
 
 Roots are normalized so that no 2*pi*i factors appear anywhere: every
 density produced here is an exact rational polynomial.
@@ -258,9 +264,6 @@ class BundleRoots:
             return GradedPoly({}, top)
         return GradedPoly.generator("p", self.name, i, top)
 
-    def power_sum(self, m: int, top: int) -> GradedPoly:
-        return power_sum_in_pontryagin(m, self.name, top, pairs=self.pair_count)
-
     def __eq__(self, other):
         if not isinstance(other, BundleRoots):
             return NotImplemented
@@ -416,31 +419,15 @@ def power_sums(elementary):
     return s
 
 
-def elementary_from_power_sums(sums):
-    """Inverse of power_sums: e_k = (1/k) sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i."""
-    s = list(sums)
-    e = []
-    for k in range(1, len(s) + 1):
-        acc = s[k - 1] * ((-1) ** (k - 1))
-        for i in range(1, k):
-            acc = acc + e[k - i - 1] * s[i - 1] * ((-1) ** (i - 1))
-        e.append(acc * Fraction(1, k))
-    return e
+def bundle_power_sums(bundle: BundleRoots, top: int) -> list:
+    """s_1 .. s_(top//4) of the bundle in its Pontryagin classes, with its pair cap."""
+    return power_sums([bundle.pontryagin(i, top) for i in range(1, top // 4 + 1)])
 
 
-def power_sum_in_pontryagin(m: int, bundle, top: int, pairs=None) -> GradedPoly:
-    """s_m (power sum of squared roots) as a polynomial in p_1..p_m.
-
-    When the bundle has only `pairs` root pairs, e_i = 0 for i > pairs and
-    the Newton recursion folds s_m back onto the low p_i.
-    """
-    e = []
-    for i in range(1, m + 1):
-        if pairs is not None and i > pairs:
-            e.append(GradedPoly({}, top))
-        else:
-            e.append(GradedPoly.generator("p", bundle, i, top))
-    return power_sums(e)[m - 1]
+def power_sum_in_pontryagin(m: int, bundle, top: int) -> GradedPoly:
+    """s_m (power sum of squared roots) as a polynomial in p_1..p_m."""
+    sums = bundle_power_sums(BundleRoots(m, bundle), top)
+    return sums[m - 1] if m <= len(sums) else GradedPoly({}, top)
 
 
 def to_pontryagin(poly: GradedPoly, caps=None) -> GradedPoly:
@@ -451,41 +438,77 @@ def to_pontryagin(poly: GradedPoly, caps=None) -> GradedPoly:
     """
     mapping = {}
     for s in poly.symbols():
-        if s[0] == "s":
-            pairs = None if caps is None else caps.get(s[1])
-            mapping[s] = power_sum_in_pontryagin(s[2], s[1], poly.top, pairs=pairs)
+        kind, bundle, m = s
+        if kind == "s":
+            pairs = (caps or {}).get(bundle, m)
+            mapping[s] = bundle_power_sums(BundleRoots(pairs, bundle), poly.top)[m - 1]
     if not mapping:
         return poly
     return poly.substitute(mapping)
 
 
 # ---------------------------------------------------------------------------
-# multiplicative sequences
+# exponentials of forms linear in the power sums
+
+
+def power_sum_exp(logs, order: int, top: int, exact: bool = False):
+    """Expand exp(sum_v L_v(q) x_v) monomial by monomial in the x_v.
+
+    logs holds (x_v, k_v, row_v, den_v): a GradedPoly x_v of degree 4 k_v
+    and the truncated series L_v = row_v / den_v with integer row_v, or
+    with a one-slot row_v holding the value of L_v at one q.
+    Yields (row, den, poly) for every multiset {v^m_v} of total degree at
+    most top (exactly top when exact): row / den = prod L_v^m_v / m_v! and
+    poly = prod x_v^m_v.  Multisets whose series vanish are skipped.
+    """
+    logs = [entry for entry in logs if entry[0] and any(entry[2])]
+
+    def walk(start, left, row, den, poly):
+        if left == 0 or not exact:
+            yield row, den, poly
+        for v in range(start, len(logs)):
+            x, k, lrow, lden = logs[v]
+            r, d, p = row, den, poly
+            for m in range(1, left // k + 1):
+                r = convolve_trunc(r, lrow, order, 0)
+                if not any(r):
+                    break
+                d, p = d * lden * m, p * x
+                yield from walk(v + 1, left - m * k, r, d, p)
+
+    if exact and top % 4:
+        return
+    one = [1] + [0] * (order - 1) if order > 0 else []
+    yield from walk(0, top // 4, one, 1, GradedPoly.constant(1, top))
+
+
+def exp_slots(logs, order: int, top: int) -> list:
+    """power_sum_exp(logs, order, top) summed into one GradedPoly per slot."""
+    slots = [{} for _ in range(order)]
+    for row, den, poly in power_sum_exp(logs, order, top):
+        for n, v in enumerate(row):
+            if v:
+                c = Fraction(v, den)
+                slot = slots[n]
+                for mono, coeff in poly.terms.items():
+                    slot[mono] = slot.get(mono, 0) + c * coeff
+    return [GradedPoly(slot, top) for slot in slots]
 
 
 def genus_sequence(factor, top_degree: int, bundle=None, pairs=None) -> GradedPoly:
     """Multiplicative sequence of an even factor series f with f(0) = 1.
 
     Returns the universal polynomial in p_i(bundle) of degree <= top_degree
-    equal to prod_j f(a_j) after symmetric reduction.  Computed as
-    exp(sum_m c_m s_m) with c_m the moments of log f, then converted to
-    the p_i basis.  A finite pair count truncates the p_i accordingly.
+    equal to prod_j f(a_j) after symmetric reduction: exp(sum_k c_k s_k)
+    with c_k the moments of log f and s_k the power sums of the bundle in
+    its p_i.  A finite pair count truncates the p_i accordingly; without
+    one the bundle has pairs enough for every p_i up to top_degree.
     """
     moments = _even_to_moment_log(factor, top_degree)
-    acc = GradedPoly({}, top_degree)
-    for m in range(1, len(moments)):
-        if moments[m] and 4 * m <= top_degree:
-            acc = acc + GradedPoly.generator("s", bundle, m, top_degree, moments[m])
-    # exp in the nilpotent graded ring
-    out = GradedPoly.constant(1, top_degree)
-    power = GradedPoly.constant(1, top_degree)
-    for k in range(1, top_degree // 4 + 1):
-        power = power * acc
-        if not power:
-            break
-        out = out + power * Fraction(1, math.factorial(k))
-    caps = None if pairs is None else {bundle: pairs}
-    return to_pontryagin(out, caps=caps)
+    roots = BundleRoots(top_degree // 4 if pairs is None else pairs, bundle)
+    logs = [(x, k, [c.numerator], c.denominator)
+            for k, (x, c) in enumerate(zip(bundle_power_sums(roots, top_degree), moments[1:]), 1)]
+    return exp_slots(logs, 1, top_degree)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def _cmd_equivariant(args, report):
         series = exact_series(model, function, order)
         results.update(mode="exact", order=order, series=_exact_json(series))
         if point is not None:
-            check_poles(model, point[0])
+            check_poles(model, *point)
             results["value"] = str(series.eval(*point))
     else:
         if args.order is not None:

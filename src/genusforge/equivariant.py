@@ -56,6 +56,8 @@ from genusforge.theta import (
 )
 
 POLE_TOL = 1e-8
+# bound on pi Im(s t)^2 / Im(tau), see check_poles
+GROWTH_BOUND = 690.0
 
 # moving-Fperp theta kind and static Fperp twist tower per variant; the
 # doubled G line absorbs the value 2 of the cos factor of theta1 at 0
@@ -584,12 +586,29 @@ def _qpow(tau, expo) -> complex:
     return cmath.exp(2j * math.pi * complex(tau) * float(expo))
 
 
-def check_poles(model: EquivariantModel, t):
-    """Reject t with any speed s t within POLE_TOL of an integer."""
-    tc = complex(t)
+def check_poles(model: EquivariantModel, t, tau):
+    """Check tau, then reject t where a speed s puts s t on a pole or out of range.
+
+    The theta quotients have poles on the lattice Z + tau Z, so s t is
+    first moved by round(Im(s t) / Im(tau)) tau and then measured against
+    the integers: within POLE_TOL is a PoleError.  The theta products
+    grow like exp(pi Im(s t)^2 / Im(tau)), which leaves double range near
+    exp(709): the quotient path returned NaN or raised from 706 on (Im tau
+    from the 0.05 floor to 20, every genus function).  Points past
+    GROWTH_BOUND = 690 are a SchemaError.
+    """
+    check_tau(tau)
+    tc, tauc = complex(t), complex(tau)
     for s in model.speeds():
         x = s * tc
-        if abs(x - round(x.real)) < POLE_TOL:
+        growth = math.pi * x.imag**2 / tauc.imag
+        if growth > GROWTH_BOUND:
+            raise SchemaError(
+                f"speed {s} puts pi Im(s t)^2 / Im(tau) = {growth:.4g} past the bound "
+                f"{GROWTH_BOUND:g} of double-precision theta products"
+            )
+        y = x - round(x.imag / tauc.imag) * tauc
+        if abs(y - round(y.real)) < POLE_TOL:
             raise PoleError(f"speed {s} puts {s}*t = {x:.12g} on a pole")
 
 
@@ -608,8 +627,7 @@ def _v_eval(variant, n, t, tau, tol) -> complex:
 
 def _sum_values(model, variant, t, tau, tol, w_factor, v_factor):
     """Sum over components of orientation x static value x moving factors."""
-    check_poles(model, t)
-    check_tau(tau)
+    check_poles(model, t, tau)
     total = 0j
     for comp in model.components:
         _check_root_free(comp)

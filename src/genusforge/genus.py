@@ -30,12 +30,14 @@ from genusforge.charclass import (
     GradedRing,
     _even_to_moment_log,
     ahat_factor,
+    bundle_power_sums,
     genus_sequence,
     l_factor,
     pair_fundamental,
+    power_sum_exp,
 )
 from genusforge.errors import SchemaError
-from genusforge.ktheory import bundle_power_sums, ch_denominator, power_sum_exp, tower_log
+from genusforge.ktheory import ch_denominator, tower_log
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
 

@@ -15,11 +15,11 @@ ch_i has the power-sum coefficients 2 i^(2k) / (2k)!, so the log of a whole
 tower on E - rank E is sum_k 2 h_k(q) s_k(E) / (2k)! with integer Lambert
 rows h_k; for the Witten element h_k = sum_n sigma_(2k-1)(n) q^n, the
 q-part of the Eisenstein series G_2k.  Towers are expanded from that
-closed form: exp of a sum linear in the s_k is a sum over the monomials in
-the s_k of products of rational q-series; tower_values sums the same rows
-at one q, every factor in closed form.  sym_total and lambda_total keep
-the per-factor recursion (an exp over GradedPoly coefficients), which the
-tests use as the independent referee.
+closed form by charclass.power_sum_exp: exp of a sum linear in the s_k is
+a sum over the monomials in the s_k of products of rational q-series;
+tower_values sums the same rows at one q, every factor in closed form.
+sym_total and lambda_total keep the per-factor recursion (an exp over
+GradedPoly coefficients), which the tests use as the independent referee.
 """
 
 from __future__ import annotations
@@ -27,8 +27,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from genusforge._kernels import convolve_trunc
-from genusforge.charclass import BundleRoots, GradedPoly, GradedRing, power_sums
+from genusforge.charclass import (
+    BundleRoots,
+    GradedPoly,
+    GradedRing,
+    bundle_power_sums,
+    exp_slots,
+)
 from genusforge.errors import DimensionError
 from genusforge.series import STEP, QSeries
 
@@ -104,11 +109,6 @@ class KClass:
         return "KClass(" + " + ".join(bits) + f"; top={self.top})"
 
 
-def _scaled_power_sum(bundle: BundleRoots, m: int, scale: int, top: int) -> GradedPoly:
-    # power sum of the roots scaled by an integer: sum (scale*a_j)^(2m)
-    return bundle.power_sum(m, top) * Fraction(scale ** (2 * m))
-
-
 def ch_scaled(E: KClass, scale: int) -> GradedPoly:
     """ch of E with every root multiplied by the integer scale.
 
@@ -119,9 +119,8 @@ def ch_scaled(E: KClass, scale: int) -> GradedPoly:
     out = GradedPoly.constant(E.rank, top)
     for bundle, mult in E.parts:
         acc = GradedPoly({}, top)
-        for m in range(1, top // 4 + 1):
-            term = _scaled_power_sum(bundle, m, scale, top)
-            acc = acc + term * Fraction(2, math.factorial(2 * m))
+        for m, s in enumerate(bundle_power_sums(bundle, top), 1):
+            acc = acc + s * Fraction(2 * scale ** (2 * m), math.factorial(2 * m))
         out = out + acc * mult
     return out
 
@@ -141,10 +140,8 @@ def ch_tensor_pair(A: BundleRoots, B: BundleRoots, top: int) -> GradedPoly:
     if A.pair_count != 1 or B.pair_count != 1:
         raise DimensionError("tensor characters are implemented for single pairs")
     out = GradedPoly.constant(4, top)
-    sa = {m: A.power_sum(m, top) for m in range(1, top // 4 + 1)}
-    sb = {m: B.power_sum(m, top) for m in range(1, top // 4 + 1)}
-    sa[0] = GradedPoly.constant(1, top)
-    sb[0] = GradedPoly.constant(1, top)
+    sa = [GradedPoly.constant(1, top)] + bundle_power_sums(A, top)
+    sb = [GradedPoly.constant(1, top)] + bundle_power_sums(B, top)
     for m in range(1, top // 4 + 1):
         # (a+b)^(2m) + (a-b)^(2m): odd cross terms cancel
         acc = GradedPoly({}, top)
@@ -323,42 +320,6 @@ def ch_denominator(k: int) -> int:
     return math.factorial(2 * k) // 2
 
 
-def bundle_power_sums(bundle: BundleRoots, top: int) -> list:
-    """s_1 .. s_(top//4) of the bundle in its Pontryagin classes, with its pair cap."""
-    return power_sums([bundle.pontryagin(i, top) for i in range(1, top // 4 + 1)])
-
-
-def power_sum_exp(logs, order: int, top: int, exact: bool = False):
-    """Expand exp(sum_v L_v(q) x_v) monomial by monomial in the x_v.
-
-    logs holds (x_v, k_v, row_v, den_v): a GradedPoly x_v of degree 4 k_v
-    and the truncated series L_v = row_v / den_v with integer row_v, or
-    with a one-slot row_v holding the value of L_v at one q.
-    Yields (row, den, poly) for every multiset {v^m_v} of total degree at
-    most top (exactly top when exact): row / den = prod L_v^m_v / m_v! and
-    poly = prod x_v^m_v.  Multisets whose series vanish are skipped.
-    """
-    logs = [entry for entry in logs if entry[0] and any(entry[2])]
-
-    def walk(start, left, row, den, poly):
-        if left == 0 or not exact:
-            yield row, den, poly
-        for v in range(start, len(logs)):
-            x, k, lrow, lden = logs[v]
-            r, d, p = row, den, poly
-            for m in range(1, left // k + 1):
-                r = convolve_trunc(r, lrow, order, 0)
-                if not any(r):
-                    break
-                d, p = d * lden * m, p * x
-                yield from walk(v + 1, left - m * k, r, d, p)
-
-    if exact and top % 4:
-        return
-    one = [1] + [0] * (order - 1) if order > 0 else []
-    yield from walk(0, top // 4, one, 1, GradedPoly.constant(1, top))
-
-
 def _tower_series(E: KClass, tower: str, order: int) -> QSeries:
     top = E.top
     rows = tower_log(tower, order, top)
@@ -366,15 +327,7 @@ def _tower_series(E: KClass, tower: str, order: int) -> QSeries:
     for bundle, mult in E.parts:
         for k, (x, h) in enumerate(zip(bundle_power_sums(bundle, top), rows), 1):
             logs.append((x, k, [mult * v for v in h], ch_denominator(k)))
-    slots = [{} for _ in range(order)]
-    for row, den, poly in power_sum_exp(logs, order, top):
-        for n, v in enumerate(row):
-            if v:
-                c = Fraction(v, den)
-                slot = slots[n]
-                for mono, coeff in poly.terms.items():
-                    slot[mono] = slot.get(mono, 0) + c * coeff
-    return QSeries(GradedRing(top), 0, [GradedPoly(s, top) for s in slots], order)
+    return QSeries(GradedRing(top), 0, exp_slots(logs, order, top), order)
 
 
 def witten_element(E: KClass, order: int) -> QSeries:

@@ -11,7 +11,7 @@ from genusforge.charclass import (
     GradedPoly,
     GradedRing,
     ahat_factor,
-    elementary_from_power_sums,
+    bundle_power_sums,
     genus_sequence,
     l_factor,
     mono_str,
@@ -117,13 +117,6 @@ def test_power_sum_formulas():
     assert s3 == e1**3 - 3 * e1 * e2 + 3 * e3
 
 
-def test_newton_round_trip_on_rationals():
-    rng = random.Random(1812)
-    for _ in range(20):
-        e = [Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(5)]
-        assert elementary_from_power_sums(power_sums(e)) == e
-
-
 def test_newton_matches_brute_force_roots():
     rng = random.Random(66)
     for _ in range(10):
@@ -131,15 +124,16 @@ def test_newton_matches_brute_force_roots():
         e = brute_elementary(roots, 4)
         s = brute_power_sums(roots, 4)
         assert power_sums(e) == s
-        assert elementary_from_power_sums(s) == e
 
 
 def test_power_sum_caps_fold_onto_low_classes():
     # a single root pair: s_2 = p1^2, s_3 = p1^3 once p_i>1 vanish
     top = 12
     p1 = p_gen(1, top, "F")
-    assert power_sum_in_pontryagin(2, "F", top, pairs=1) == p1**2
-    assert power_sum_in_pontryagin(3, "F", top, pairs=1) == p1**3
+    capped_sums = bundle_power_sums(BundleRoots(1, "F"), top)
+    assert capped_sums[1] == p1**2
+    assert capped_sums[2] == p1**3
+    assert power_sum_in_pontryagin(2, "F", top) == p1**2 - 2 * p_gen(2, top, "F")
     capped = to_pontryagin(
         GradedPoly.generator("s", "F", 2, top), caps={"F": 1}
     )
@@ -194,17 +188,21 @@ def test_sequences_match_root_expansion_oracle():
     # independent path: expand prod f(a_j) for explicit roots, reduce to
     # elementary symmetric functions by Gauss elimination
     for factor_fn in (ahat_factor, l_factor):
-        for top, nroots in ((4, 2), (8, 3), (12, 3)):
+        for top, nroots in ((4, 2), (8, 3), (12, 3), (16, 4)):
             seq = genus_sequence(factor_fn(top), top)
             expect = oracle_genus_partitions(factor_fn(top), top, nroots)
             assert partitions_of(seq) == expect
 
 
 def test_capped_sequence_matches_single_root_oracle():
+    for factor_fn, top, pairs in ((ahat_factor, 8, 1), (ahat_factor, 12, 1), (l_factor, 12, 2),
+                                  (ahat_factor, 12, 3), (l_factor, 16, 1), (ahat_factor, 16, 2),
+                                  (l_factor, 16, 3)):
+        seq = genus_sequence(factor_fn(top), top, bundle="F", pairs=pairs)
+        expect = oracle_genus_partitions(factor_fn(top), top, pairs)
+        assert partitions_of(seq) == expect
     top = 8
     seq = genus_sequence(ahat_factor(top), top, bundle="F", pairs=1)
-    expect = oracle_genus_partitions(ahat_factor(top), top, 1)
-    assert partitions_of(seq) == expect
     # explicitly: 1 - p1/24 + 7 p1^2/5760, no p2 term
     p1 = p_gen(1, top, "F")
     assert seq == GradedPoly.constant(1, top) - p1 * Fraction(1, 24) + p1**2 * Fraction(7, 5760)
@@ -248,7 +246,7 @@ def test_bundle_roots_basics():
     assert e.rank == 4
     assert e.pontryagin(1, 8) == p_gen(1, 8, "F")
     assert e.pontryagin(3, 8) == GradedPoly({}, 8)
-    assert e.power_sum(2, 8) == p_gen(1, 8, "F") ** 2 - 2 * p_gen(2, 8, "F")
+    assert bundle_power_sums(e, 8)[1] == p_gen(1, 8, "F") ** 2 - 2 * p_gen(2, 8, "F")
     assert BundleRoots(2, "F") == e
     assert BundleRoots(1, "F") != e
     assert hash(BundleRoots(2, "F")) == hash(e)

@@ -90,6 +90,14 @@ def test_genus_missing_file_exit_2(tmp_path):
     assert "nope.json" in report["error"]["message"]
 
 
+def _split_speed(n):
+    model = get("free_split_point").to_json()["model"]
+    model["components"][0]["moving_fperp"][0]["n"] = n
+    return model
+
+
+_RANGE_POINT = ["--t", "0.2137+0.0123j", "--tau", "0.1+1j", "--model"]
+
 _MALFORMED = {
     "dim_not_integer": (
         ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
@@ -129,20 +137,68 @@ _MALFORMED = {
         ["equivariant", "lefschetz", "--t", "0.2", "--tau=-0.1j", "--model"],
         get("free_point").to_json()["model"],
     ),
+    # theta products past double range: NaN, ZeroDivisionError, OverflowError
+    "speed_5001_past_double_range": (["equivariant", "G"] + _RANGE_POINT, _split_speed(5001)),
+    "speed_12007_past_double_range": (["equivariant", "G"] + _RANGE_POINT, _split_speed(12007)),
+    "lefschetz_speed_12007_past_double_range": (
+        ["equivariant", "lefschetz"] + _RANGE_POINT, _split_speed(12007),
+    ),
+    "speed_1000007_past_double_range": (
+        ["equivariant", "G"] + _RANGE_POINT, _split_speed(10**6 + 7),
+    ),
+}
+
+# poles off the real line: s t on the lattice Z + tau Z
+_POLES = {
+    "t_equals_tau": (
+        ["equivariant", "H", "--t", "0.1+1j", "--tau", "0.1+1j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "lefschetz_t_equals_tau": (
+        ["equivariant", "lefschetz", "--t", "0.1+1j", "--tau", "0.1+1j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "exact_t_equals_tau": (
+        ["equivariant", "H", "--exact", "--t", "0.1+1j", "--tau", "0.1+1j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "t_one_plus_tau": (
+        ["equivariant", "H", "--t", "1.3+1j", "--tau", "0.3+1j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "speed_1000_near_199_plus_10_tau": (
+        ["equivariant", "G", "--t", "0.2+0.01j", "--tau", "0.1+1j", "--model"],
+        _split_speed(1000),
+    ),
+    "lefschetz_speed_1000_near_199_plus_10_tau": (
+        ["equivariant", "lefschetz", "--t", "0.2+0.01j", "--tau", "0.1+1j", "--model"],
+        _split_speed(1000),
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_malformed_payload_exit_2_without_traceback(tmp_path, case):
-    argv, payload = _MALFORMED[case]
+def _run_cli_on_payload(tmp_path, case, argv, payload):
     path = write_model(tmp_path, case, payload)
     src = os.path.dirname(os.path.dirname(genusforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "genusforge.cli"] + argv + [path],
+    return subprocess.run([sys.executable, "-m", "genusforge.cli"] + argv + [path],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_payload_exit_2_without_traceback(tmp_path, case):
+    proc = _run_cli_on_payload(tmp_path, case, *_MALFORMED[case])
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "SchemaError"
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(_POLES))
+def test_pole_point_exit_2_without_traceback(tmp_path, case):
+    proc = _run_cli_on_payload(tmp_path, case, *_POLES[case])
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "PoleError"
     assert "Traceback" not in proc.stderr
 
 
