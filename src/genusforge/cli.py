@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -52,6 +53,15 @@ from genusforge.theta import KINDS, verify_transform
 _GENERA = ("witten", "subdirac", "split-R", "split-R1", "split-R2")
 _SUBGROUPS = ("gamma0_2", "gamma_upper0_2", "gamma_theta", "sl2z")
 _FUNCTIONS = ("H", "G", "G1", "G2")
+
+# request caps, each measured at the cap on a 2-vCPU VM (Python 3.11.7):
+# --exact at order 64 and w-width 64 took at most 6.0 s (G, one Fperp
+# block of rank 64 at speed 1) and 31 MB, 1024 Jacobi samples 0.6 s and
+# 29 MB, and a 64x64 lattice grid 0.5 s and 34 MB
+ORDER_CAP = 64
+WIDTH_CAP = 64
+SAMPLES_CAP = 1024
+GRID_CAP = 64
 
 
 def _thread_cap() -> int:
@@ -144,6 +154,8 @@ def _theta_grid(spec: str):
         n = m = 0
     if len(parts) != 2 or n < 1 or m < 1:
         raise SchemaError(f"--grid {spec!r} must look like 5x5 with positive sizes")
+    if max(n, m) > GRID_CAP:
+        raise SchemaError(f"--grid {spec!r} has more points a side than the cap {GRID_CAP}")
     samples = []
     for j in range(m):
         v = j / (m - 1) if m > 1 else 0.5
@@ -201,6 +213,12 @@ def _cmd_equivariant(args, report):
             raise SchemaError("--t and --tau must be given together")
         point = (_parse_complex(args.t, "--t"), _parse_complex(args.tau, "--tau"))
     if args.exact:
+        # with ORDER_CAP, this bounds the w-width of the rows and of the summed denominator
+        width = sum(k * abs(s) for comp in model.components
+                    for k, s in comp.moving_f + comp.moving_fperp)
+        if width > WIDTH_CAP:
+            raise SchemaError(f"--exact takes a sum of rank * |speed| over the moving blocks "
+                              f"up to the cap {WIDTH_CAP}, not {width}")
         order = args.order if args.order is not None else 8
         series = exact_series(model, function, order)
         results.update(mode="exact", order=order, series=_exact_json(series))
@@ -400,10 +418,14 @@ def run(argv=None) -> tuple:
     try:
         report["threads"] = _thread_cap()
         order = getattr(args, "order", None)
-        if order is not None and order < (0 if args.group == "genus" else 1):
-            raise SchemaError(f"--order {order} is out of range")
-        if getattr(args, "samples", 1) < 1:
-            raise SchemaError("--samples must be at least 1")
+        low = 0 if args.group == "genus" else 1
+        if order is not None and not low <= order <= ORDER_CAP:
+            raise SchemaError(f"--order {order} is out of range: {low} up to the cap {ORDER_CAP}")
+        if not 1 <= getattr(args, "samples", 1) <= SAMPLES_CAP:
+            raise SchemaError(f"--samples must lie between 1 and the cap {SAMPLES_CAP}")
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0):
+            raise SchemaError(f"--tol must be a finite positive number, not {tol}")
         args.handler(args, report)
     except GenusforgeError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}

@@ -15,7 +15,10 @@ same assembly with the G static parts and no moving Fperp blocks.
 
 Everything exists twice: an exact q-expansion with Laurent coefficients
 in w = e^(pi i t) (an ExactSeries, a series numerator over a q-free
-denominator), and a numeric evaluator at a point (t, tau).  The numeric
+denominator), and a numeric evaluator at a point (t, tau).  The exact
+path builds each component's term and sums the terms in sparse rows of
+exact numbers, folding them as ExactSeries.__add__ would (the tests'
+referee), and converts the sum to an ExactSeries once.  The numeric
 paths take their accuracy from tol alone: the static parts sum the Lambert
 series of their towers until the tail bound is below tol, and the moving
 blocks truncate their products when the dropped factors are.  The slash
@@ -33,6 +36,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from genusforge._kernels import convolve_full
 from genusforge.charclass import BundleRoots, CharNumbers, ahat_factor, l_factor
 from genusforge.errors import PoleError, SchemaError
 from genusforge.genus import _paired_series, _paired_towers
@@ -193,7 +197,7 @@ class FixedComponent:
         self.dim = as_int(dim, "component dim")
         if self.dim < 0 or self.dim % 2:
             raise SchemaError("component dimension must be even and nonnegative")
-        if orientation not in (1, -1):
+        if isinstance(orientation, bool) or orientation not in (1, -1):
             raise SchemaError("orientation must be +1 or -1")
         self.orientation = int(orientation)
         self.f0_pairs = as_int(f0_pairs, "f0_pairs")
@@ -487,17 +491,35 @@ class ExactSeries:
         return f"ExactSeries(order={self.num.order}, den={self.den!r})"
 
 
+def _dense(a: dict, lo: int) -> list:
+    return [a.get(e, 0) for e in range(lo, max(a) + 1)]
+
+
 def _poly_mul(a: dict, b: dict) -> dict:
     """Product of two sparse w-Laurent polynomials {exponent: coefficient}."""
-    out = {}
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = out.get(i + j, 0) + x * y
-    return {e: c for e, c in out.items() if c}
+    if not a or not b:
+        return {}
+    lo_a, lo_b = min(a), min(b)
+    out = convolve_full(_dense(a, lo_a), _dense(b, lo_b), 0)
+    lo = lo_a + lo_b
+    return {lo + i: c for i, c in enumerate(out) if c}
 
 
-def _component_series(comp: FixedComponent, variant: str, order: int) -> ExactSeries:
-    """One component's term, numerator over its unexpanded denominator.
+def _poly_add(a: dict, b: dict) -> dict:
+    """Sum of two sparse w-Laurent polynomials, zeros dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        x = out.get(e, 0) + c
+        if x:
+            out[e] = x
+        else:
+            del out[e]
+    return out
+
+
+def _component_rows(comp: FixedComponent, variant: str, order: int):
+    """One component's term as (rows, den): numerator rows over its
+    unexpanded denominator, both sparse {w-exponent: coefficient}.
 
     Per unit of rank, a moving F block of speed m contributes
     c(q)^2 / body_theta(w^2m) over (w^m - w^-m), and a moving Fperp block
@@ -533,7 +555,7 @@ def _component_series(comp: FixedComponent, variant: str, order: int) -> ExactSe
         divide_rows(rows, [f for f in divs if not f[2]])
         multiply_rows(rows, [f for f in muls if f[2]])
         divide_rows(rows, [f for f in divs if f[2]])
-    return ExactSeries(rows_series(rows), LaurentZ.from_dict(den))
+    return rows, den
 
 
 def _variant(model: EquivariantModel, function: str) -> str:
@@ -571,11 +593,23 @@ def exact_series(model: EquivariantModel, function: str, order: int) -> ExactSer
 
 
 def _sum_components(model, variant, order):
-    total = None
+    """The component terms folded in rows, as ExactSeries.__add__ folds them.
+
+    Equal denominators add slot by slot; otherwise each slot becomes
+    a d + b den over den d.  Nothing is reduced, so num and den are those
+    of the ExactSeries fold, and the rows become a series once.
+    """
+    total = den = None
     for comp in model.components:
-        term = _component_series(comp, variant, order)
-        total = term if total is None else total + term
-    return total
+        rows, d = _component_rows(comp, variant, order)
+        if total is None:
+            total, den = rows, d
+        elif d == den:
+            total = [_poly_add(a, b) for a, b in zip(total, rows)]
+        else:
+            total = [_poly_add(_poly_mul(a, d), _poly_mul(b, den)) for a, b in zip(total, rows)]
+            den = _poly_mul(den, d)
+    return ExactSeries(rows_series(total), LaurentZ.from_dict(den))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,12 @@ def as_fraction(value) -> Fraction:
 
 
 def as_int(value, what: str) -> int:
-    """Coerce an integer payload field, raising SchemaError for anything else."""
+    """Coerce an integer payload field, raising SchemaError for anything else.
+
+    A JSON boolean is refused, although Python counts bool as an int.
+    """
+    if isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer, not {value!r}")
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):

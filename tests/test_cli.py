@@ -96,7 +96,14 @@ def _split_speed(n):
     return model
 
 
+def _bool_point(**fields):
+    comp = {"dim": 0, "orientation": 1, "moving_f": [{"rank": 1, "m": 1}], "numbers": {"1": 1}}
+    comp.update(fields)
+    return {"mode": "foliated", "p": 1, "r": 0, "components": [comp]}
+
+
 _RANGE_POINT = ["--t", "0.2137+0.0123j", "--tau", "0.1+1j", "--model"]
+_THETA = ["theta", "check", "--kind", "theta", "--law", "S"]
 
 _MALFORMED = {
     "dim_not_integer": (
@@ -146,7 +153,43 @@ _MALFORMED = {
     "speed_1000007_past_double_range": (
         ["equivariant", "G"] + _RANGE_POINT, _split_speed(10**6 + 7),
     ),
+    # JSON booleans are not integers
+    "moving_block_booleans": (
+        ["equivariant", "H", "--exact", "--order", "6", "--model"],
+        _bool_point(moving_f=[{"rank": True, "m": True}]),
+    ),
+    "orientation_boolean": (
+        ["equivariant", "H", "--exact", "--order", "6", "--model"], _bool_point(orientation=True),
+    ),
+    # acceptance tolerances must be finite and positive
+    "jacobi_tol_inf": (["jacobi", "verify", "--tol", "inf", "--model"],
+                       get("free_point").to_json()["model"]),
+    "jacobi_tol_negative": (["jacobi", "verify", "--tol", "-1", "--model"],
+                            get("free_point").to_json()["model"]),
+    "jacobi_tol_zero": (["jacobi", "verify", "--tol", "0", "--model"],
+                        get("free_point").to_json()["model"]),
+    "theta_tol_nan": (_THETA + ["--tol", "nan"], None),
+    "theta_tol_inf": (_THETA + ["--tol", "inf"], None),
 }
+
+# requests past a size cap, with the cap their error must name
+_PAST_CAP = {
+    "genus_order": (
+        ["genus", "compute", "--genus", "witten", "--order", "65", "--spec"],
+        {"dim": 4, "numbers": {"p1": 3}}, 64,
+    ),
+    "exact_order": (["equivariant", "H", "--exact", "--order", "65", "--model"],
+                    get("free_point").to_json()["model"], 64),
+    "exact_width": (["equivariant", "G", "--exact", "--model"], _split_speed(64), 64),
+    "jacobi_samples": (["jacobi", "verify", "--samples", "1025", "--model"],
+                       get("free_point").to_json()["model"], 1024),
+    "theta_grid": (_THETA + ["--grid", "2x65"], None, 64),
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
 
 # poles off the real line: s t on the lattice Z + tau Z
 _POLES = {
@@ -178,11 +221,13 @@ _POLES = {
 
 
 def _run_cli_on_payload(tmp_path, case, argv, payload):
-    path = write_model(tmp_path, case, payload)
+    """Run the CLI in a fresh process; a payload's file path ends the argv."""
+    if payload is not None:
+        argv = argv + [write_model(tmp_path, case, payload)]
     src = os.path.dirname(os.path.dirname(genusforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "genusforge.cli"] + argv + [path],
+    return subprocess.run([sys.executable, "-m", "genusforge.cli"] + argv,
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -190,7 +235,18 @@ def _run_cli_on_payload(tmp_path, case, argv, payload):
 def test_malformed_payload_exit_2_without_traceback(tmp_path, case):
     proc = _run_cli_on_payload(tmp_path, case, *_MALFORMED[case])
     assert proc.returncode == 2
-    assert json.loads(proc.stdout)["error"]["type"] == "SchemaError"
+    assert json.loads(proc.stdout, parse_constant=_no_constant)["error"]["type"] == "SchemaError"
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(_PAST_CAP))
+def test_request_past_cap_exit_2_naming_the_cap(tmp_path, case):
+    argv, payload, cap = _PAST_CAP[case]
+    proc = _run_cli_on_payload(tmp_path, case, argv, payload)
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout, parse_constant=_no_constant)["error"]
+    assert error["type"] == "SchemaError"
+    assert f"cap {cap}" in error["message"]
     assert "Traceback" not in proc.stderr
 
 

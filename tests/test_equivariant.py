@@ -17,6 +17,7 @@ from genusforge.equivariant import (
     JacobiFormMeta,
     anomaly_check,
     evaluator,
+    exact_series,
     g_eval,
     g_series,
     h_eval,
@@ -384,6 +385,60 @@ def test_point_models_match_product_oracle():
         assert laurent_dict(got.den) == den
         got_num = {(e, k): c for e, lz in got.num.terms() for k, c in lz.items()}
         assert got_num == num, (function, model.to_json(), order)
+
+
+def mixed_model(rng, function, dim):
+    """Points with moving F and Fperp blocks beside fully static components of
+    dimension dim with fractional numbers, and for dim 8 a dim-4 component
+    with moving blocks over an all-zero table (zero rows, its own denominator)."""
+    half = dim // 2
+    p = half if function == "H" else rng.randint(1, half - 1)
+    r = half - p
+    # few block shapes, so some points share a denominator and some do not
+    shapes = [([(p, rng.choice([-1, 1]) * rng.randint(1, 3))],
+               [(r, rng.choice([-1, 1]) * rng.randint(1, 3))] if r else [])
+              for _ in range(2)]
+    if p > 1:
+        shapes.append(([(1, 2), (p - 1, -1)], shapes[0][1]))
+    comps = []
+    for _ in range(rng.randint(1, 3)):
+        moving_f, moving_fperp = rng.choice(shapes)
+        comps.append(FixedComponent(0, rng.choice([1, -1]), 0, 0, moving_f, moving_fperp,
+                                    numbers={"1": rng.choice([1, -1, 2, Q(1, 3)])}))
+    for _ in range(rng.randint(1, 2)):
+        numbers = {m: Q(v, rng.choice([2, 3, 7])) for m, v in static_numbers(dim, p, rng).items()}
+        comps.append(FixedComponent(dim, rng.choice([1, -1]), p, r, numbers=numbers))
+    if dim == 8:
+        a = min(p, 2)
+        zeros = {m: 0 for m in static_numbers(4, a, rng)}
+        comps.append(FixedComponent(4, 1, a, 2 - a, [(p - a, 1)] if p > a else [],
+                                    [(r - 2 + a, -1)] if r > 2 - a else [], zeros))
+    rng.shuffle(comps)
+    return EquivariantModel("foliated" if function == "H" else "split", p, r, 0, comps)
+
+
+def test_component_rows_sum_as_the_exact_series_fold():
+    # the model's series against ExactSeries.__add__ over its one-component models
+    rng = random.Random(20261018)
+    steps, fractional = set(), set()
+    for function in ("H", "G", "G1", "G2") * 3:
+        for dim in (4, 8):
+            model = mixed_model(rng, function, dim)
+            order = rng.randint(3, 9)
+            got = exact_series(model, function, order)
+            want = None
+            for comp in model.components:
+                one = EquivariantModel(model.mode, model.p, model.r, 0, [comp])
+                term = exact_series(one, function, order)
+                if want is not None:
+                    steps.add((function, want.den == term.den))
+                want = term if want is None else want + term
+            assert (got.num.offset, got.num.order) == (want.num.offset, want.num.order)
+            assert got.num.coeffs == want.num.coeffs, (function, model.to_json(), order)
+            assert got.den == want.den
+            fractional.add(any(c.denominator > 1 for lz in got.num.coeffs for c in lz.coeffs))
+    assert steps == {(f, equal) for f in ("H", "G", "G1", "G2") for equal in (True, False)}
+    assert True in fractional
 
 
 def full_static_series(comp, variant, order):
