@@ -48,10 +48,6 @@ JACOBI_TOL = 1e-8
 DUAL_TOL = 1e-9
 
 
-def _slots(strings):
-    return [Fraction(s) for s in strings]
-
-
 class CatalogEntry:
     __slots__ = ("name", "kind", "describe", "notes", "_build", "expected")
 

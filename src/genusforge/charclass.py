@@ -528,6 +528,8 @@ class CharNumbers:
         if self.dim < 0:
             raise DimensionError("negative dimension")
         self.spin = spin
+        if not isinstance(numbers, dict):
+            raise SchemaError("'numbers' must be an object of monomial keys")
         self.numbers = {}
         for key, val in numbers.items():
             mono = parse_monomial(key) if isinstance(key, str) else key
@@ -569,8 +571,6 @@ class CharNumbers:
     def from_json(cls, obj: dict) -> "CharNumbers":
         if not isinstance(obj, dict) or "dim" not in obj or "numbers" not in obj:
             raise SchemaError("characteristic numbers need 'dim' and 'numbers'")
-        if not isinstance(obj["numbers"], dict):
-            raise SchemaError("'numbers' must be an object of monomial keys")
         return cls(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
 
     def __repr__(self):

@@ -56,12 +56,18 @@ _FUNCTIONS = ("H", "G", "G1", "G2")
 
 # request caps, each measured at the cap on a 2-vCPU VM (Python 3.11.7):
 # --exact at order 64 and w-width 64 took at most 6.0 s (G, one Fperp
-# block of rank 64 at speed 1) and 31 MB, 1024 Jacobi samples 0.6 s and
-# 29 MB, and a 64x64 lattice grid 0.5 s and 34 MB
+# block of rank 64 at speed 1) and 31 MB; 1024 Jacobi samples took 0.6 s
+# and 29 MB on a model of fixed points, but 65 s on a full static model
+# at dim 24, since every sample pairs the static block again; a 64x64
+# lattice grid took 0.5 s and 34 MB.  DIM_CAP bounds the dim of every
+# numbers table, split spec and fixed component: subdirac at order 64
+# took 0.6 s at dim 24 and 16.9 s at dim 40.  Dim 24 keeps the classic
+# dimension of the Witten genus.
 ORDER_CAP = 64
 WIDTH_CAP = 64
 SAMPLES_CAP = 1024
 GRID_CAP = 64
+DIM_CAP = 24
 
 
 def _thread_cap() -> int:
@@ -93,6 +99,20 @@ def _load_json(path: str, report: dict, key: str):
         raise SchemaError(f"{key}: {path} is not valid JSON: {exc}") from None
 
 
+def _load_payload(path: str, report: dict, key: str, kind):
+    """A payload file read as kind, with every dim it carries within DIM_CAP.
+
+    kind is CharNumbers, SplitManifoldSpec or EquivariantModel; a model
+    carries the dims of its fixed components.
+    """
+    payload = kind.from_json(_load_json(path, report, key))
+    parts = payload.components if kind is EquivariantModel else (payload,)
+    for part in parts:
+        if part.dim > DIM_CAP:
+            raise SchemaError(f"{key}: dim {part.dim} is past the cap {DIM_CAP}")
+    return payload
+
+
 def _parse_complex(text: str, flag: str) -> complex:
     try:
         return complex(text.replace(" ", ""))
@@ -122,14 +142,13 @@ def _verdict(report, name, ok, **extra):
 
 
 def _cmd_genus_compute(args, report):
-    payload = _load_json(args.spec, report, "spec")
     slots = 2 * args.order + 1
     captured = []
     if args.genus == "witten":
-        numbers = CharNumbers.from_json(payload)
+        numbers = _load_payload(args.spec, report, "spec", CharNumbers)
         series = witten_genus(numbers, slots)
     else:
-        spec = SplitManifoldSpec.from_json(payload)
+        spec = _load_payload(args.spec, report, "spec", SplitManifoldSpec)
         if args.genus == "subdirac":
             psi = witten_element(KClass.bundle(spec.F, spec.dim), slots)
             with warnings.catch_warnings(record=True) as captured:
@@ -199,8 +218,7 @@ def _equivariant_function(args, model):
 
 
 def _cmd_equivariant(args, report):
-    payload = _load_json(args.model, report, "model")
-    model = EquivariantModel.from_json(payload)
+    model = _load_payload(args.model, report, "model", EquivariantModel)
     function = _equivariant_function(args, model)
     results = {
         "function": function,
@@ -252,8 +270,7 @@ def _jacobi_samples(count: int, seed: int):
 
 
 def _cmd_jacobi_verify(args, report):
-    payload = _load_json(args.model, report, "model")
-    model = EquivariantModel.from_json(payload)
+    model = _load_payload(args.model, report, "model", EquivariantModel)
     function = args.function or ("H" if model.mode == "foliated" else "G")
     meta = form_meta(model, function)
     if args.subgroup and args.subgroup != meta.subgroup:

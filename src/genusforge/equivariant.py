@@ -1,10 +1,10 @@
 """Localization of the split genera at the fixed locus of a circle action.
 
 A model lists fixed components.  Each component carries a static block of
-F and Fperp root pairs with its own characteristic numbers, plus moving
-blocks that rotate with nonzero integer speeds.  The genus functions are
-assembled per component as (static split density paired with the numbers)
-times one theta quotient per moving block:
+F and Fperp root pairs with its own characteristic numbers (a
+genus.SplitManifoldSpec), plus moving blocks that rotate with nonzero
+integer speeds.  The genus functions are assembled per component as (the
+split genus of the static block) times one theta quotient per moving block:
 
     moving F, speed m:      theta'(0) / (2 pi i theta(m t))
     moving Fperp, speed n:  theta'(0) theta_kind(n t) / (2 pi i theta(n t) theta_kind(0))
@@ -37,10 +37,9 @@ import math
 from fractions import Fraction
 
 from genusforge._kernels import convolve_full
-from genusforge.charclass import BundleRoots, CharNumbers, ahat_factor, l_factor
+from genusforge.charclass import CharNumbers
 from genusforge.errors import PoleError, SchemaError
-from genusforge.genus import _paired_series, _paired_towers
-from genusforge.ktheory import tower_values
+from genusforge.genus import SplitManifoldSpec, split_genus, split_genus_value
 from genusforge.rings import LAURENT, RATIONAL, LaurentZ, as_fraction, as_int, fraction_str
 from genusforge.series import QSeries
 from genusforge.theta import (
@@ -185,46 +184,40 @@ def _moving_list(blocks, speed_key):
 
 
 class FixedComponent:
-    """One component of the fixed locus."""
+    """One component of the fixed locus.
 
-    __slots__ = (
-        "dim", "orientation", "f0_pairs", "fperp0_pairs",
-        "moving_f", "moving_fperp", "numbers",
-    )
+    Its static block is a SplitManifoldSpec: the F and Fperp root pairs
+    tangent to the component and its characteristic numbers.  The
+    orientation and the moving blocks complete it.
+    """
+
+    __slots__ = ("orientation", "static", "moving_f", "moving_fperp")
 
     def __init__(self, dim, orientation, f0_pairs, fperp0_pairs,
                  moving_f=(), moving_fperp=(), numbers=None):
-        self.dim = as_int(dim, "component dim")
-        if self.dim < 0 or self.dim % 2:
-            raise SchemaError("component dimension must be even and nonnegative")
         if isinstance(orientation, bool) or orientation not in (1, -1):
             raise SchemaError("orientation must be +1 or -1")
         self.orientation = int(orientation)
-        self.f0_pairs = as_int(f0_pairs, "f0_pairs")
-        self.fperp0_pairs = as_int(fperp0_pairs, "fperp0_pairs")
-        if self.f0_pairs < 0 or self.fperp0_pairs < 0:
-            raise SchemaError("static pair counts cannot be negative")
-        if 2 * (self.f0_pairs + self.fperp0_pairs) != self.dim:
-            raise SchemaError(
-                f"static pairs {self.f0_pairs}+{self.fperp0_pairs} do not fill dimension {self.dim}"
-            )
+        self.static = SplitManifoldSpec(dim, f0_pairs, fperp0_pairs,
+                                        {} if numbers is None else numbers)
         self.moving_f = _moving_list(moving_f, "m")
         self.moving_fperp = _moving_list(moving_fperp, "n")
-        if not isinstance(numbers, CharNumbers):
-            if numbers is None:
-                numbers = {}
-            if not isinstance(numbers, dict):
-                raise SchemaError("component numbers must be an object of monomial keys")
-            numbers = CharNumbers(self.dim, numbers)
-        if numbers.dim != self.dim:
-            raise SchemaError("component numbers live in the wrong degree")
-        for mono in numbers.numbers:
-            for (kind, bundle, index), _ in mono:
-                cap = {"F": self.f0_pairs, "Fperp": self.fperp0_pairs}.get(bundle, -1)
-                if index > cap:
-                    tag = f"({bundle})" if bundle else ""
-                    raise SchemaError(f"number key {kind}{index}{tag} exceeds the static block")
-        self.numbers = numbers
+
+    @property
+    def dim(self) -> int:
+        return self.static.dim
+
+    @property
+    def f0_pairs(self) -> int:
+        return self.static.p
+
+    @property
+    def fperp0_pairs(self) -> int:
+        return self.static.r
+
+    @property
+    def numbers(self) -> CharNumbers:
+        return self.static.numbers
 
     def to_json(self) -> dict:
         return {
@@ -349,73 +342,23 @@ def _check_root_free(comp: FixedComponent):
         )
 
 
-def _partitions(n, cap):
-    """Partitions of n into parts of size at most cap."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
+def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
+    """The paired static density as a q-series of rationals.
 
-
-def _static_monomials(comp: FixedComponent):
-    """Every top-degree p-monomial of the static F and Fperp roots."""
-    weight, rest = divmod(comp.dim, 4)
-    if rest:
-        return
-    for a in range(weight + 1):
-        for front in _partitions(a, comp.f0_pairs):
-            for back in _partitions(weight - a, comp.fperp0_pairs):
-                bits = [f"p{k}(F)" for k in front] + [f"p{k}(Fperp)" for k in back]
-                yield "*".join(bits) or "1"
-
-
-def _static_constant(comp: FixedComponent):
-    """The paired static density when it is a constant, else None.
-
-    Over a point the density is the constant 1, and a table that holds
-    every monomial the pairing can read, all zero, pairs to zero.  An
-    incomplete table takes the towers, so a missing number still raises.
+    Over a point the density is the constant 1; otherwise it is the split
+    genus of the static block with the variant's twist tower.
     """
     if comp.dim == 0:
-        return comp.numbers["1"]
-    numbers = comp.numbers
-    if not any(numbers.numbers.values()) and all(m in numbers for m in _static_monomials(comp)):
-        return Fraction(0)
-    return None
-
-
-def _static_towers(comp: FixedComponent, variant: str):
-    """(bundle, genus factor, tower name) of the static F and Fperp blocks."""
-    top = comp.dim
-    second = l_factor(top) if variant == "G" else ahat_factor(top)
-    return ((BundleRoots(comp.f0_pairs, "F"), ahat_factor(top), "witten"),
-            (BundleRoots(comp.fperp0_pairs, "Fperp"), second, _VARIANT_TWIST[variant]))
-
-
-def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
-    """The paired static density as a q-series of rationals."""
-    const = _static_constant(comp)
-    if const is not None:
+        const = comp.numbers["1"]
         return QSeries(RATIONAL, 0, [const] if const else (), order)
-    return _paired_series(comp.numbers, order, _static_towers(comp, variant))
+    return split_genus(comp.static, _VARIANT_TWIST[variant], order)
 
 
 def _static_value(comp: FixedComponent, variant: str, tau, tol: float) -> complex:
-    """The paired static density at tau, from the Lambert sums of its towers.
-
-    Each tower value is within tol of its infinite sum (ktheory.tower_values),
-    and the pairing is _static_series's with one slot.
-    """
-    const = _static_constant(comp)
-    if const is not None:
-        return complex(const)
-    x = cmath.exp(1j * math.pi * complex(tau))
-    rows = [(bundle, factor, [[v] for v in tower_values(tower, x, comp.dim, tol)])
-            for bundle, factor, tower in _static_towers(comp, variant)]
-    (value,), den = _paired_towers(comp.numbers, 1, rows)
-    return value / den
+    """The paired static density at tau, within tol of its Lambert sums."""
+    if comp.dim == 0:
+        return complex(comp.numbers["1"])
+    return split_genus_value(comp.static, _VARIANT_TWIST[variant], tau, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ log of genus factor times tower is linear in the power sums,
 sum_k (c_k + 2 h_k(q) / (2k)!) s_k, with c_k the moments of the factor
 series and h_k the tower's Lambert rows.  The pairing reads only the top
 degree, so each slot is sum over the monomials s^lambda of degree dim of
-<s^lambda, [M]> times a product of rational q-series.
+<s^lambda, [M]> times a product of rational q-series.  split_genus_value
+pairs the same towers summed at one tau, for the static parts of the
+fixed-point genus functions.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -37,7 +40,7 @@ from genusforge.charclass import (
     power_sum_exp,
 )
 from genusforge.errors import SchemaError
-from genusforge.ktheory import ch_denominator, tower_log
+from genusforge.ktheory import ch_denominator, tower_log, tower_values
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
 
@@ -62,6 +65,8 @@ class SplitManifoldSpec:
     def __init__(self, dim, f_pairs, fperp_pairs, numbers, f_spin=False, m_spin=False):
         self.dim = as_int(dim, "dim")
         p, r = as_int(f_pairs, "f_pairs"), as_int(fperp_pairs, "fperp_pairs")
+        if p < 0 or r < 0:
+            raise SchemaError(f"root pair counts {p} and {r} cannot be negative")
         if self.dim != 2 * (p + r):
             raise SchemaError(
                 f"dimension {self.dim} does not match {p} + {r} root pairs"
@@ -69,8 +74,6 @@ class SplitManifoldSpec:
         self.F = BundleRoots(p, "F")
         self.Fperp = BundleRoots(r, "Fperp")
         if not isinstance(numbers, CharNumbers):
-            if not isinstance(numbers, dict):
-                raise SchemaError("'numbers' must be an object of monomial keys")
             numbers = CharNumbers(self.dim, numbers)
         if numbers.dim != self.dim:
             raise SchemaError("characteristic numbers live in the wrong degree")
@@ -283,6 +286,15 @@ def witten_genus(numbers: CharNumbers, order: int) -> QSeries:
 _VARIANTS = ("R", "R1", "R2")
 
 
+def _split_towers(spec: SplitManifoldSpec, variant: str):
+    """(bundle, genus factor, tower name) of the F and Fperp blocks of a variant."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown twist variant {variant!r}")
+    top = spec.dim
+    second = l_factor(top) if variant == "R" else ahat_factor(top)
+    return ((spec.F, ahat_factor(top), "witten"), (spec.Fperp, second, variant))
+
+
 def split_genus(spec: SplitManifoldSpec, variant: str, order: int) -> QSeries:
     """The three twisted genera of the splitting.
 
@@ -290,9 +302,17 @@ def split_genus(spec: SplitManifoldSpec, variant: str, order: int) -> QSeries:
     variants R1/R2 replace L(Fperp) by Ahat(Fperp), so the base class is
     Ahat(TM), and use the half-grid Lambda towers.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown twist variant {variant!r}")
-    top = spec.dim
-    second = l_factor(top) if variant == "R" else ahat_factor(top)
-    towers = ((spec.F, ahat_factor(top), "witten"), (spec.Fperp, second, variant))
-    return _paired_series(spec.numbers, order, towers)
+    return _paired_series(spec.numbers, order, _split_towers(spec, variant))
+
+
+def split_genus_value(spec: SplitManifoldSpec, variant: str, tau, tol: float) -> complex:
+    """split_genus summed at tau rather than truncated.
+
+    Each tower value is within tol of its infinite Lambert sum
+    (ktheory.tower_values), and the pairing is split_genus's with one slot.
+    """
+    x = cmath.exp(1j * math.pi * complex(tau))
+    rows = [(bundle, factor, [[v] for v in tower_values(tower, x, spec.dim, tol)])
+            for bundle, factor, tower in _split_towers(spec, variant)]
+    (value,), den = _paired_towers(spec.numbers, 1, rows)
+    return value / den

@@ -16,9 +16,14 @@ from genusforge.errors import NonUnitError, RingMismatchError, SchemaError
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
+    """Coerce ints, Fractions and 'p/q' strings to an exact rational.
+
+    A JSON boolean is refused, although Python counts bool as an int.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise SchemaError(f"{value!r} is a boolean, not an exact rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -100,12 +105,6 @@ class LaurentZ:
         for i, c in enumerate(self.coeffs):
             if c:
                 yield self.lo + i, c
-
-    @property
-    def min_exp(self):
-        if not self.coeffs:
-            return 0
-        return self.lo
 
     @property
     def max_exp(self):

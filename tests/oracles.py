@@ -597,6 +597,31 @@ def naive_twist(nvars, top, pair_vars, variant, q_end):
 
 
 # ---------------------------------------------------------------------------
+# top-degree monomial keys
+
+
+def partitions(n, cap):
+    """Partitions of n into parts of size at most cap, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, cap), 0, -1):
+        for rest in partitions(n - k, k):
+            yield (k,) + rest
+
+
+def split_monomials(dim, p, r):
+    """Every degree-dim p-monomial key of F with p pairs and Fperp with r pairs."""
+    weight, keys = dim // 4, []
+    for a in range(weight + 1):
+        for front in partitions(a, p):
+            for back in partitions(weight - a, r):
+                bits = [f"p{k}(F)" for k in front] + [f"p{k}(Fperp)" for k in back]
+                keys.append("*".join(bits) or "1")
+    return keys
+
+
+# ---------------------------------------------------------------------------
 # a truncated series summed at a float point without rounding
 
 

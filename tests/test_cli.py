@@ -3,13 +3,14 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import genusforge
-from genusforge.catalog import get
+from genusforge.catalog import get, list_entries
 from genusforge.cli import main, run
 from genusforge.equivariant import h_eval
 
@@ -161,6 +162,22 @@ _MALFORMED = {
     "orientation_boolean": (
         ["equivariant", "H", "--exact", "--order", "6", "--model"], _bool_point(orientation=True),
     ),
+    "number_boolean": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": 4, "numbers": {"p1": True}},
+    ),
+    "split_number_boolean": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": 4, "f_pairs": 2, "fperp_pairs": 0, "numbers": {"p1(F)": True}},
+    ),
+    "component_number_boolean": (
+        ["equivariant", "H", "--exact", "--order", "6", "--model"],
+        _bool_point(numbers={"1": True}),
+    ),
+    "split_pairs_negative": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": 4, "f_pairs": -1, "fperp_pairs": 3, "numbers": {"p1(Fperp)": 3}},
+    ),
     # acceptance tolerances must be finite and positive
     "jacobi_tol_inf": (["jacobi", "verify", "--tol", "inf", "--model"],
                        get("free_point").to_json()["model"]),
@@ -184,6 +201,19 @@ _PAST_CAP = {
     "jacobi_samples": (["jacobi", "verify", "--samples", "1025", "--model"],
                        get("free_point").to_json()["model"], 1024),
     "theta_grid": (_THETA + ["--grid", "2x65"], None, 64),
+    "numbers_dim": (
+        ["genus", "compute", "--genus", "witten", "--order", "1", "--spec"],
+        {"dim": 28, "numbers": {"p7": 1}}, 24,
+    ),
+    "split_dim": (
+        ["genus", "compute", "--genus", "split-R1", "--order", "1", "--spec"],
+        {"dim": 28, "f_pairs": 7, "fperp_pairs": 7, "numbers": {"p7(F)": 1}}, 24,
+    ),
+    "component_dim": (
+        ["equivariant", "H", "--exact", "--order", "1", "--model"],
+        {"mode": "foliated", "p": 14, "r": 0, "components": [
+            {"dim": 28, "orientation": 1, "f0_pairs": 14, "numbers": {"p7(F)": 1}}]}, 24,
+    ),
 }
 
 
@@ -248,6 +278,55 @@ def test_request_past_cap_exit_2_naming_the_cap(tmp_path, case):
     assert error["type"] == "SchemaError"
     assert f"cap {cap}" in error["message"]
     assert "Traceback" not in proc.stderr
+
+
+# a field set to a value of the wrong type, sign or size
+_FUZZ_VALUES = (None, True, "x", -1, 0, [], {}, 1.5, 10**30)
+_FUZZ_POINT = ["--t", "0.31-0.07j", "--tau", "0.2+1.1j"]
+
+
+def _field_paths(node, path=()):
+    """The key path of every field and list entry in a JSON payload."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+def _fuzz_argv(kind, payload, rng):
+    if kind == "numbers":
+        return ["genus", "compute", "--genus", "witten", "--order", "2", "--spec"]
+    if kind == "split":
+        genus = rng.choice(("subdirac", "split-R", "split-R1", "split-R2"))
+        return ["genus", "compute", "--genus", genus, "--order", "2", "--spec"]
+    command = "H" if payload["mode"] == "foliated" else "G"
+    return rng.choice((
+        ["equivariant", command, "--exact", "--order", "2", "--model"],
+        ["equivariant", command] + _FUZZ_POINT + ["--model"],
+        ["equivariant", "lefschetz"] + _FUZZ_POINT + ["--model"],
+        ["jacobi", "verify", "--samples", "2", "--model"],
+    ))
+
+
+def test_mutated_catalog_payloads_exit_without_an_exception(tmp_path):
+    rng = random.Random(20261018)
+    for name in list_entries():
+        entry = get(name)
+        for i in range(30):
+            payload = entry.to_json()["model"]
+            argv = _fuzz_argv(entry.kind, payload, rng)
+            *path, last = rng.choice(list(_field_paths(payload)))
+            node = payload
+            for key in path:
+                node = node[key]
+            node[last] = rng.choice(_FUZZ_VALUES)
+            code = run(argv + [write_model(tmp_path, f"{name}_{i}", payload)])[0]
+            assert code in (0, 1, 2), (argv, payload)
 
 
 @pytest.mark.parametrize("case", sorted(_POLES))

@@ -39,6 +39,7 @@ from genusforge.theta import theta_eval, theta_prime0
 from oracles import (
     euler_product_oracle,
     exact_value,
+    split_monomials,
     tadd,
     theta_body_oracle,
     tinv,
@@ -508,10 +509,8 @@ def test_mode_mismatch_errors():
 
 def static_numbers(dim, f_pairs, rng):
     """Seeded numbers on every top-degree monomial of a static block."""
-    from genusforge.equivariant import _static_monomials
-
-    shape = FixedComponent(dim, 1, f_pairs, dim // 2 - f_pairs)
-    return {m: rng.choice([-1, 1]) * rng.randint(1, 99) for m in _static_monomials(shape)}
+    keys = split_monomials(dim, f_pairs, dim // 2 - f_pairs)
+    return {m: rng.choice([-1, 1]) * rng.randint(1, 99) for m in keys}
 
 
 def static_model(function, dim, f_pairs, numbers):

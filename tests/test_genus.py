@@ -29,7 +29,7 @@ from genusforge.ktheory import KClass, witten_element
 from genusforge.rings import RATIONAL
 from genusforge.series import QSeries
 
-from oracles import MPoly, naive_witten, qm_clean, qm_mul
+from oracles import MPoly, naive_witten, partitions, qm_clean, qm_mul, split_monomials
 import referee
 
 Q = Fraction
@@ -271,27 +271,8 @@ def test_pairing_against_explicit_density():
 # -- closed-form genera against the per-factor referee ------------------------
 
 
-def _partitions(n, cap):
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - k, k):
-            yield (k,) + rest
-
-
 def tangent_keys(dim):
-    return ["*".join(f"p{k}" for k in part) or "1" for part in _partitions(dim // 4, dim)]
-
-
-def split_keys(dim, p, r):
-    weight, keys = dim // 4, []
-    for a in range(weight + 1):
-        for front in _partitions(a, p):
-            for back in _partitions(weight - a, r):
-                bits = [f"p{k}(F)" for k in front] + [f"p{k}(Fperp)" for k in back]
-                keys.append("*".join(bits) or "1")
-    return keys
+    return ["*".join(f"p{k}" for k in part) or "1" for part in partitions(dim // 4, dim)]
 
 
 def _table(rng, keys):
@@ -314,7 +295,7 @@ def test_split_genus_matches_referee_pairing():
     for dim in (4, 4, 8, 8, 12, 12, 16):
         p = rng.randint(0, dim // 2)
         r = dim // 2 - p
-        spec = SplitManifoldSpec(dim, p, r, _table(rng, split_keys(dim, p, r)))
+        spec = SplitManifoldSpec(dim, p, r, _table(rng, split_monomials(dim, p, r)))
         order = rng.randint(1, 20 if dim <= 8 else 10)
         for variant in ("R", "R1", "R2"):
             with warnings.catch_warnings():
@@ -370,7 +351,7 @@ def test_missing_numbers_raise_exactly_when_the_referee_reads_them():
             lambda nums: witten_genus(nums, order))
         p = rng.randint(0, dim // 2)
         r = dim // 2 - p
-        full = _table(rng, split_keys(dim, p, r))
+        full = _table(rng, split_monomials(dim, p, r))
         front, back = BundleRoots(p, "F"), BundleRoots(r, "Fperp")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegralityWarning)
