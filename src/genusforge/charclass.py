@@ -12,12 +12,24 @@ multiplicative sequence is exp(sum_k c_k s_k) with c_k the moments of
 log of its factor series; the K-theory towers and the genus pairings
 expand their own linear forms the same way.
 
+The expansion has a symbolic half and a numeric one.  The symbolic half,
+exp_walk, depends only on the degree and the (bundle, k) of the s_k: it
+lists the multisets lambda of power sums and the p-expansion of each
+product s^lambda.  It is built once per key and kept in a bounded cache,
+as are the factor series, their log moments and the Newton power sums;
+the walk and the factor series are tuples, and bundle_power_sums returns
+fresh copies, so no caller can change what is cached.  The numeric
+half runs on every call: it convolves the integer series rows along the
+walk, one convolution per multiset, each from the row of its prefix.
+Nothing is built at import.
+
 Roots are normalized so that no 2*pi*i factors appear anywhere: every
 density produced here is an exact rational polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -26,6 +38,7 @@ from genusforge._kernels import convolve_trunc, series_inv
 from genusforge.errors import (
     DimensionError,
     MissingNumberError,
+    RingMismatchError,
     SchemaError,
 )
 from genusforge.rings import CoefficientRing, as_fraction, as_int, fraction_str
@@ -115,6 +128,14 @@ class GradedPoly:
         self.terms = {m: c for m, c in clean.items() if c}
 
     @classmethod
+    def _trusted(cls, terms: dict, top: int) -> "GradedPoly":
+        """A GradedPoly over terms already clean: nonzero Fractions of degree <= top."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out.top = top
+        return out
+
+    @classmethod
     def constant(cls, value, top):
         return cls({(): as_fraction(value)}, top)
 
@@ -151,7 +172,7 @@ class GradedPoly:
         raise TypeError("graded polynomials are not hashable")
 
     def __neg__(self):
-        return GradedPoly({m: -c for m, c in self.terms.items()}, self.top)
+        return GradedPoly._trusted({m: -c for m, c in self.terms.items()}, self.top)
 
     def _coerced(self, other):
         if isinstance(other, (int, Fraction)):
@@ -171,7 +192,7 @@ class GradedPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, _Q0) + c
-        return GradedPoly(out, self.top)
+        return GradedPoly._trusted({m: c for m, c in out.items() if c}, self.top)
 
     __radd__ = __add__
 
@@ -187,7 +208,8 @@ class GradedPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = as_fraction(other)
-            return GradedPoly({m: c * q for m, c in self.terms.items()}, self.top)
+            terms = {m: c * q for m, c in self.terms.items()} if q else {}
+            return GradedPoly._trusted(terms, self.top)
         other = self._coerced(other)
         if other is None:
             return NotImplemented
@@ -199,7 +221,7 @@ class GradedPoly:
                     continue
                 m = _mono_mul(m1, m2)
                 out[m] = out.get(m, _Q0) + c1 * c2
-        return GradedPoly(out, self.top)
+        return GradedPoly._trusted({m: c for m, c in out.items() if c}, self.top)
 
     __rmul__ = __mul__
 
@@ -337,6 +359,11 @@ class GradedRing(CoefficientRing):
 # ---------------------------------------------------------------------------
 # one-variable exact series (coefficient lists over powers of the root a)
 
+# the caches below hold symbolic data only, keyed by degrees, pair counts
+# and factor names: finitely many keys up to any dimension cap
+_CACHE_SMALL = 64
+_CACHE_LARGE = 512
+
 
 def ser_mul(a, b, n):
     return convolve_trunc(list(a), list(b), n, _Q0)
@@ -348,7 +375,8 @@ def ser_inv(a, n):
     return series_inv(list(a), n, 1 / a[0], _Q0)
 
 
-def ahat_factor(top_degree: int):
+@functools.lru_cache(maxsize=_CACHE_SMALL)
+def ahat_factor(top_degree: int) -> tuple:
     """Taylor coefficients of (a/2)/sinh(a/2) up to a**(top_degree//2)."""
     n = top_degree // 2 + 1
     # sinh(a/2)/(a/2) = sum a^(2m) / (4^m (2m+1)!)
@@ -356,10 +384,11 @@ def ahat_factor(top_degree: int):
     for m in range(0, (n + 1) // 2):
         if 2 * m < n:
             den[2 * m] = Fraction(1, 4**m * math.factorial(2 * m + 1))
-    return ser_inv(den, n)
+    return tuple(ser_inv(den, n))
 
 
-def l_factor(top_degree: int):
+@functools.lru_cache(maxsize=_CACHE_SMALL)
+def l_factor(top_degree: int) -> tuple:
     """Taylor coefficients of a/tanh(a) up to a**(top_degree//2)."""
     n = top_degree // 2 + 1
     cosh = [_Q0] * n
@@ -368,7 +397,7 @@ def l_factor(top_degree: int):
         if 2 * m < n:
             cosh[2 * m] = Fraction(1, math.factorial(2 * m))
             sinh_over_a[2 * m] = Fraction(1, math.factorial(2 * m + 1))
-    return ser_mul(cosh, ser_inv(sinh_over_a, n), n)
+    return tuple(ser_mul(cosh, ser_inv(sinh_over_a, n), n))
 
 
 def _even_to_moment_log(factor, top_degree: int):
@@ -397,6 +426,25 @@ def _even_to_moment_log(factor, top_degree: int):
     return out  # out[m] multiplies a^(2m)
 
 
+@functools.lru_cache(maxsize=_CACHE_SMALL)
+def _named_moments(name: str, top_degree: int) -> tuple:
+    factor = ahat_factor(top_degree) if name == "ahat" else l_factor(top_degree)
+    return tuple(_even_to_moment_log(factor, top_degree))
+
+
+def factor_moments(factor, top_degree: int) -> tuple:
+    """The moments c_m of log f, as _even_to_moment_log gives them.
+
+    factor is an even series with f(0) = 1, or the name "ahat" or "l" of
+    ahat_factor or l_factor; a named factor's moments are cached.
+    """
+    if factor in ("ahat", "l"):
+        return _named_moments(factor, top_degree)
+    if isinstance(factor, str):
+        raise ValueError(f"unknown genus factor {factor!r}")
+    return tuple(_even_to_moment_log(factor, top_degree))
+
+
 # ---------------------------------------------------------------------------
 # Newton identities
 
@@ -419,9 +467,15 @@ def power_sums(elementary):
     return s
 
 
+@functools.lru_cache(maxsize=_CACHE_LARGE)
+def _bundle_power_sums(bundle: BundleRoots, top: int) -> tuple:
+    # shared GradedPoly values: read them, never change them
+    return tuple(power_sums([bundle.pontryagin(i, top) for i in range(1, top // 4 + 1)]))
+
+
 def bundle_power_sums(bundle: BundleRoots, top: int) -> list:
     """s_1 .. s_(top//4) of the bundle in its Pontryagin classes, with its pair cap."""
-    return power_sums([bundle.pontryagin(i, top) for i in range(1, top // 4 + 1)])
+    return [GradedPoly._trusted(dict(s.terms), top) for s in _bundle_power_sums(bundle, top)]
 
 
 def power_sum_in_pontryagin(m: int, bundle, top: int) -> GradedPoly:
@@ -451,48 +505,152 @@ def to_pontryagin(poly: GradedPoly, caps=None) -> GradedPoly:
 # exponentials of forms linear in the power sums
 
 
-def power_sum_exp(logs, order: int, top: int, exact: bool = False):
-    """Expand exp(sum_v L_v(q) x_v) monomial by monomial in the x_v.
+class ExpWalk:
+    """The symbolic half of power_sum_exp for one (top, exact, entries) key.
 
-    logs holds (x_v, k_v, row_v, den_v): a GradedPoly x_v of degree 4 k_v
-    and the truncated series L_v = row_v / den_v with integer row_v, or
-    with a one-slot row_v holding the value of L_v at one q.
-    Yields (row, den, poly) for every multiset {v^m_v} of total degree at
-    most top (exactly top when exact): row / den = prod L_v^m_v / m_v! and
-    poly = prod x_v^m_v.  Multisets whose series vanish are skipped.
+    entries lists the (bundle, k) of the forms' power sums s_k(bundle).
+    The walk visits every multiset {v^m_v} of entries of total degree at
+    most top, and keeps in `steps`, in walk order, those that are needed:
+    all of them, or with exact those of degree top and the prefixes that
+    lead to one.  A step is (v, base, m, skip, terms): its series is the
+    series of step `base` (-1: the constant 1) times L_v, m is the
+    multiplicity of v, skip is the first step past every multiset built
+    on this one (so a vanishing series skips them all), and terms is None
+    for a prefix, else the p-expansion of prod s^lambda as (index into
+    monos, integer coefficient) pairs.  root_terms is that of the empty
+    multiset, or None when exact excludes it.  Everything is a tuple.
     """
-    logs = [entry for entry in logs if entry[0] and any(entry[2])]
 
-    def walk(start, left, row, den, poly):
-        if left == 0 or not exact:
-            yield row, den, poly
-        for v in range(start, len(logs)):
-            x, k, lrow, lden = logs[v]
-            r, d, p = row, den, poly
-            for m in range(1, left // k + 1):
-                r = convolve_trunc(r, lrow, order, 0)
-                if not any(r):
-                    break
-                d, p = d * lden * m, p * x
-                yield from walk(v + 1, left - m * k, r, d, p)
+    __slots__ = ("monos", "steps", "root_terms")
 
+    def __init__(self, top: int, exact: bool, entries: tuple):
+        xs = [_bundle_power_sums(bundle, top)[k - 1] for bundle, k in entries]
+        ks = [k for _, k in entries]
+        index = {}
+
+        def terms(poly):
+            # the Newton identities have integer coefficients, so prod s^lambda does
+            assert all(c.denominator == 1 for c in poly.terms.values())
+            return tuple((index.setdefault(mono, len(index)), c.numerator)
+                         for mono, c in poly.terms.items())
+
+        # fill[v][left]: the entries v.. can make up degree 4*left exactly
+        units = top // 4
+        fill = [[True] * (units + 1) for _ in range(len(ks) + 1)]
+        if exact:
+            fill[-1] = [left == 0 for left in range(units + 1)]
+            for v in range(len(ks) - 1, -1, -1):
+                fill[v] = [any(fill[v + 1][left - m * ks[v]] for m in range(left // ks[v] + 1))
+                           for left in range(units + 1)]
+        steps = []
+
+        def walk(start, left, parent, poly):
+            for v in range(start, len(ks)):
+                k = ks[v]
+                last = max((m for m in range(1, left // k + 1) if fill[v + 1][left - m * k]),
+                           default=0)
+                first, base, p = len(steps), parent, poly
+                for m in range(1, last + 1):
+                    p = p * xs[v]
+                    here = len(steps)
+                    steps.append([v, base, m, None, None])
+                    if not exact or left == m * k:
+                        steps[here][4] = terms(p)
+                    walk(v + 1, left - m * k, here, p)
+                    base = here
+                for step in steps[first:]:
+                    if step[3] is None:
+                        step[3] = len(steps)
+
+        one = GradedPoly.constant(1, top)
+        self.root_terms = terms(one) if not exact or units == 0 else None
+        if units:
+            walk(0, units, -1, one)
+        self.steps = tuple(tuple(step) for step in steps)
+        self.monos = tuple(index)
+
+
+@functools.lru_cache(maxsize=_CACHE_LARGE)
+def exp_walk(top: int, exact: bool, entries: tuple) -> ExpWalk:
+    """The cached ExpWalk of a key: built once, shared by every call."""
+    return ExpWalk(top, exact, entries)
+
+
+def power_sum_exp(logs, order: int, top: int, exact: bool = False):
+    """Expand exp(sum_v L_v(q) s_(k_v)(bundle_v)) monomial by monomial.
+
+    logs holds (bundle_v, k_v, row_v, den_v): the power sum s_k of a
+    BundleRoots, of degree 4 k, and the truncated series L_v = row_v / den_v
+    with integer row_v, or with a one-slot row_v holding the value of L_v
+    at one q.  Returns (monos, parts).  parts has a (row, den, terms) for
+    every multiset {v^m_v} of total degree at most top (exactly top when
+    exact) whose series does not vanish: row / den = prod L_v^m_v / m_v!,
+    and terms are the (index into monos, integer coefficient) pairs of the
+    p-expansion of prod s_(k_v)^m_v.
+
+    The symbolic half, the multisets and their expansions, is the cached
+    exp_walk of the entries; only the series are convolved here, once per
+    multiset, each from the series of its prefix.
+    """
     if exact and top % 4:
-        return
-    one = [1] + [0] * (order - 1) if order > 0 else []
-    yield from walk(0, top // 4, one, 1, GradedPoly.constant(1, top))
+        return (), []
+    logs = [entry for entry in logs if entry[0].pair_count and any(entry[2])]
+    walk = exp_walk(top, exact, tuple((bundle, k) for bundle, k, _, _ in logs))
+    parts = []
+    if walk.root_terms is not None:
+        parts.append(([1] + [0] * (order - 1) if order > 0 else [], 1, walk.root_terms))
+    rows, dens = [None] * len(walk.steps), [1] * len(walk.steps)
+    steps = walk.steps
+    i = 0
+    while i < len(steps):
+        v, base, m, skip, terms = steps[i]
+        _, _, lrow, lden = logs[v]
+        if base < 0:
+            row, den = list(lrow[:order]) + [0] * (order - len(lrow)), lden
+        else:
+            row, den = convolve_trunc(rows[base], lrow, order, 0), dens[base] * lden * m
+        if not any(row):
+            i = skip
+            continue
+        rows[i], dens[i] = row, den
+        if terms is not None:
+            parts.append((row, den, terms))
+        i += 1
+    return walk.monos, parts
+
+
+def mono_rows(parts, order: int):
+    """Sum the parts of power_sum_exp per monomial over one integer denominator.
+
+    Returns ({mono index: row}, den), in the order the monomials first
+    occur in parts.
+    """
+    den = math.lcm(*(d for _, d, _ in parts))
+    totals = {}
+    for row, d, terms in parts:
+        if d != den:
+            scale = den // d
+            row = [scale * v for v in row]
+        for idx, c in terms:
+            t = totals.get(idx)
+            if t is None:
+                totals[idx] = [c * v for v in row]
+            else:
+                totals[idx] = [a + c * v for a, v in zip(t, row)]
+    return totals, den
 
 
 def exp_slots(logs, order: int, top: int) -> list:
     """power_sum_exp(logs, order, top) summed into one GradedPoly per slot."""
+    monos, parts = power_sum_exp(logs, order, top)
+    totals, den = mono_rows(parts, order)
     slots = [{} for _ in range(order)]
-    for row, den, poly in power_sum_exp(logs, order, top):
+    for idx, row in totals.items():
+        mono = monos[idx]
         for n, v in enumerate(row):
             if v:
-                c = Fraction(v, den)
-                slot = slots[n]
-                for mono, coeff in poly.terms.items():
-                    slot[mono] = slot.get(mono, 0) + c * coeff
-    return [GradedPoly(slot, top) for slot in slots]
+                slots[n][mono] = Fraction(v, den)
+    return [GradedPoly._trusted(slot, top) for slot in slots]
 
 
 def genus_sequence(factor, top_degree: int, bundle=None, pairs=None) -> GradedPoly:
@@ -503,11 +661,12 @@ def genus_sequence(factor, top_degree: int, bundle=None, pairs=None) -> GradedPo
     with c_k the moments of log f and s_k the power sums of the bundle in
     its p_i.  A finite pair count truncates the p_i accordingly; without
     one the bundle has pairs enough for every p_i up to top_degree.
+    factor may also be the name "ahat" or "l" (factor_moments).
     """
-    moments = _even_to_moment_log(factor, top_degree)
+    moments = factor_moments(factor, top_degree)
     roots = BundleRoots(top_degree // 4 if pairs is None else pairs, bundle)
-    logs = [(x, k, [c.numerator], c.denominator)
-            for k, (x, c) in enumerate(zip(bundle_power_sums(roots, top_degree), moments[1:]), 1)]
+    logs = [(roots, k, [c.numerator], c.denominator)
+            for k, c in enumerate(moments[1:top_degree // 4 + 1], 1)]
     return exp_slots(logs, 1, top_degree)[0]
 
 
@@ -571,7 +730,19 @@ class CharNumbers:
     def from_json(cls, obj: dict) -> "CharNumbers":
         if not isinstance(obj, dict) or "dim" not in obj or "numbers" not in obj:
             raise SchemaError("characteristic numbers need 'dim' and 'numbers'")
-        return cls(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
+        return cls.from_payload(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
+
+    @classmethod
+    def from_payload(cls, dim: int, numbers, spin: bool | None = None) -> "CharNumbers":
+        """CharNumbers from payload fields, raising SchemaError for any fault in them.
+
+        A negative dim, a monomial of the wrong degree or a number that is
+        not an exact rational is bad input here, not a bookkeeping error.
+        """
+        try:
+            return cls(dim, numbers, spin)
+        except (DimensionError, RingMismatchError) as exc:
+            raise SchemaError(str(exc)) from None
 
     def __repr__(self):
         return f"CharNumbers(dim={self.dim}, {self.to_json()['numbers']})"

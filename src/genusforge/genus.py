@@ -17,11 +17,21 @@ degree, so each slot is sum over the monomials s^lambda of degree dim of
 <s^lambda, [M]> times a product of rational q-series.  split_genus_value
 pairs the same towers summed at one tau, for the static parts of the
 fixed-point genus functions.
+
+The symbolic half of that pairing, the multisets lambda and the
+p-expansions of s^lambda, is charclass.exp_walk's: built once per
+(dim, splitting) and shared by every order, variant, tau and numbers
+table.  A call only folds the rows along it and reads the numbers.
+subdirac_index pairs a series twist through the top degree alone: the
+base class Ahat(F) L(Fperp) is cached per (dim, p, r), and per slot only
+the products of degree dim are formed.  index_density still builds the
+whole density and is the referee of that shortcut.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -31,11 +41,11 @@ from genusforge.charclass import (
     CharNumbers,
     GradedPoly,
     GradedRing,
-    _even_to_moment_log,
-    ahat_factor,
-    bundle_power_sums,
+    _mono_degree,
+    _mono_mul,
+    factor_moments,
     genus_sequence,
-    l_factor,
+    mono_rows,
     pair_fundamental,
     power_sum_exp,
 )
@@ -50,11 +60,11 @@ class IntegralityWarning(UserWarning):
 
 
 def ahat_poly(bundle: BundleRoots, top: int) -> GradedPoly:
-    return genus_sequence(ahat_factor(top), top, bundle=bundle.name, pairs=bundle.pair_count)
+    return genus_sequence("ahat", top, bundle=bundle.name, pairs=bundle.pair_count)
 
 
 def l_poly(bundle: BundleRoots, top: int) -> GradedPoly:
-    return genus_sequence(l_factor(top), top, bundle=bundle.name, pairs=bundle.pair_count)
+    return genus_sequence("l", top, bundle=bundle.name, pairs=bundle.pair_count)
 
 
 class SplitManifoldSpec:
@@ -74,7 +84,7 @@ class SplitManifoldSpec:
         self.F = BundleRoots(p, "F")
         self.Fperp = BundleRoots(r, "Fperp")
         if not isinstance(numbers, CharNumbers):
-            numbers = CharNumbers(self.dim, numbers)
+            numbers = CharNumbers.from_payload(self.dim, numbers)
         if numbers.dim != self.dim:
             raise SchemaError("characteristic numbers live in the wrong degree")
         for mono in numbers.numbers:
@@ -165,11 +175,6 @@ def index_density(spec: SplitManifoldSpec, psi=None, phi=None):
     return series.map_coefficients(lambda c: c * base)
 
 
-def _pair_series(series: QSeries, numbers: CharNumbers) -> QSeries:
-    vals = [pair_fundamental(c, numbers) for c in series.coeffs]
-    return QSeries(RATIONAL, series.offset, vals, series.order)
-
-
 def _integrality(values, guaranteed: bool, label: str):
     if not guaranteed:
         warnings.warn(
@@ -188,20 +193,95 @@ def _integrality(values, guaranteed: bool, label: str):
         )
 
 
+class _TopPairing:
+    """The base class Ahat(F) L(Fperp) of a splitting, set up for pairing.
+
+    The base is kept by degree over one integer denominator.  products(m1)
+    lists the monomials m1 * m2 of degree dim, with m2 a base monomial,
+    as (m1 * m2, integer coefficient of m2), memoized per m1.  A pairing
+    that finds more than _PRODUCTS_CAP m1 known starts the memo afresh, so
+    it stays bounded whatever symbols the twists use.
+    """
+
+    __slots__ = ("dim", "den", "by_degree", "memo")
+
+    def __init__(self, base: GradedPoly):
+        self.dim = base.top
+        self.den = math.lcm(*(c.denominator for c in base.terms.values()))
+        self.by_degree = {}
+        for mono, c in base.terms.items():
+            self.by_degree.setdefault(_mono_degree(mono), []).append(
+                (mono, c.numerator * (self.den // c.denominator)))
+        self.memo = {}
+
+    def products(self, m1) -> tuple:
+        out = self.memo.get(m1)
+        if out is None:
+            out = self.memo[m1] = tuple(
+                (_mono_mul(m1, m2), a2)
+                for m2, a2 in self.by_degree.get(self.dim - _mono_degree(m1), ()))
+        return out
+
+    def pair(self, slots, numbers: CharNumbers) -> list:
+        """<c Ahat(F) L(Fperp), [M]> for every GradedPoly c of slots.
+
+        Only the products of degree dim are formed, collected per monomial
+        across the slots; a number is read only when its monomial's row is
+        nonzero in some slot, as pair_fundamental reads it per slot.
+        """
+        if len(self.memo) > _PRODUCTS_CAP:
+            self.memo = {}
+        acc, slot_dens = {}, []
+        for n, c in enumerate(slots):
+            sden = math.lcm(*(q.denominator for q in c.terms.values()))
+            slot_dens.append(sden)
+            for m1, c1 in c.terms.items():
+                a1 = c1.numerator * (sden // c1.denominator)
+                for mono, a2 in self.products(m1):
+                    row = acc.get(mono)
+                    if row is None:
+                        row = acc[mono] = [0] * len(slots)
+                    row[n] += a1 * a2
+        paired = [(numbers[mono], row) for mono, row in acc.items() if any(row)]
+        total, den = _row_sum(paired, len(slots))
+        return [Fraction(t, den * sden * self.den) for t, sden in zip(total, slot_dens)]
+
+
+_PRODUCTS_CAP = 4096
+
+
+@functools.lru_cache(maxsize=128)
+def _base_pairing(dim: int, p: int, r: int) -> _TopPairing:
+    return _TopPairing(ahat_poly(BundleRoots(p, "F"), dim) * l_poly(BundleRoots(r, "Fperp"), dim))
+
+
 def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
     """Pair the index density against the fundamental class.
 
     Returns a rational for static twists, a QSeries of rationals otherwise.
     Integrality is guaranteed by a spin F (the operator exists); with r = 0
     a spin M means the same thing.  Otherwise a warning is attached.
+
+    The value is index_density's, paired slot by slot; the base class is
+    cached per (dim, p, r) and only its top-degree products are formed.
     """
-    density = index_density(spec, psi, phi)
+    top = spec.dim
+    static = series = None
+    for value in (psi, phi):
+        value = _as_density_factor(value, top)
+        if isinstance(value, GradedPoly):
+            static = value if static is None else static * value
+        elif value is not None:
+            series = value if series is None else series * value
     guaranteed = spec.F_spin or (spec.r == 0 and spec.M_spin)
-    if isinstance(density, GradedPoly):
-        value = pair_fundamental(density, spec.numbers)
+    pairing = _base_pairing(top, spec.p, spec.r)
+    if series is None:
+        (value,) = pairing.pair([GradedPoly.constant(1, top) if static is None else static],
+                                spec.numbers)
         _integrality([value], guaranteed, "subdirac index")
         return value
-    out = _pair_series(density, spec.numbers)
+    slots = series.coeffs if static is None else [c * static for c in series.coeffs]
+    out = QSeries(RATIONAL, series.offset, pairing.pair(slots, spec.numbers), series.order)
     _integrality(list(out.coeffs), guaranteed, "subdirac index")
     return out
 
@@ -209,20 +289,21 @@ def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
 def ahat_genus(numbers: CharNumbers) -> Fraction:
     """<Ahat(TM), [M]> for untagged Pontryagin numbers."""
     dim = numbers.dim
-    poly = genus_sequence(ahat_factor(dim), dim, bundle=None, pairs=dim // 2)
+    poly = genus_sequence("ahat", dim, bundle=None, pairs=dim // 2)
     return pair_fundamental(poly, numbers)
 
 
 def l_genus(numbers: CharNumbers) -> Fraction:
     """<L(TM), [M]>, the signature for closed oriented manifolds."""
     dim = numbers.dim
-    poly = genus_sequence(l_factor(dim), dim, bundle=None, pairs=dim // 2)
+    poly = genus_sequence("l", dim, bundle=None, pairs=dim // 2)
     return pair_fundamental(poly, numbers)
 
 
 def _paired_towers(numbers: CharNumbers, order: int, towers):
     """<prod over (bundle, factor, rows) of genus(factor) ch(tower), [M]>.
 
+    factor is a genus factor as charclass.factor_moments takes it, and
     rows are a tower's Lambert rows h_1 .. h_(dim//4) over `order` slots:
     ktheory.tower_log rows for an exact series, or one slot holding the
     ktheory.tower_values numbers for a value at one q.  Returns the paired
@@ -234,31 +315,26 @@ def _paired_towers(numbers: CharNumbers, order: int, towers):
     top = numbers.dim
     logs = []
     for bundle, factor, rows in towers:
-        moments = _even_to_moment_log(factor, top)
-        for k, (x, h) in enumerate(zip(bundle_power_sums(bundle, top), rows), 1):
+        moments = factor_moments(factor, top)
+        for k, h in enumerate(rows, 1):
             # L_k = c_k + h_k / ((2k)!/2) over one integer denominator
             c, cden = moments[k], ch_denominator(k)
             den = math.lcm(cden, c.denominator)
             row = [v * (den // cden) for v in h]
             if row:
                 row[0] += c.numerator * (den // c.denominator)
-            logs.append((x, k, row, den))
-    by_mono = {}
-    for row, den, poly in power_sum_exp(logs, order, top, exact=True):
-        for mono, coeff in poly.terms.items():
-            by_mono.setdefault(mono, []).append((coeff / den, row))
-    paired = []
-    for mono, terms in by_mono.items():
-        total, den = _row_sum(terms, order)
-        if any(total):
-            paired.append((numbers[mono] / den, total))
-    return _row_sum(paired, order)
+            logs.append((bundle, k, row, den))
+    monos, parts = power_sum_exp(logs, order, top, exact=True)
+    totals, den = mono_rows(parts, order)
+    paired = [(numbers[monos[idx]], row) for idx, row in totals.items() if any(row)]
+    total, nden = _row_sum(paired, order)
+    return total, nden * den
 
 
 def _paired_series(numbers: CharNumbers, order: int, towers) -> QSeries:
     """_paired_towers over the tower_log rows of the named towers, as rationals.
 
-    towers lists (BundleRoots, factor series, tower name).
+    towers lists (BundleRoots, genus factor, tower name).
     """
     rows = [(bundle, factor, tower_log(tower, order, numbers.dim))
             for bundle, factor, tower in towers]
@@ -280,7 +356,7 @@ def witten_genus(numbers: CharNumbers, order: int) -> QSeries:
     """<Ahat(TM) ch(Psi_q(TM)), [M]> as a q-series of exact rationals."""
     dim = numbers.dim
     tangent = BundleRoots(dim // 2, None)
-    return _paired_series(numbers, order, ((tangent, ahat_factor(dim), "witten"),))
+    return _paired_series(numbers, order, ((tangent, "ahat", "witten"),))
 
 
 _VARIANTS = ("R", "R1", "R2")
@@ -290,9 +366,7 @@ def _split_towers(spec: SplitManifoldSpec, variant: str):
     """(bundle, genus factor, tower name) of the F and Fperp blocks of a variant."""
     if variant not in _VARIANTS:
         raise ValueError(f"unknown twist variant {variant!r}")
-    top = spec.dim
-    second = l_factor(top) if variant == "R" else ahat_factor(top)
-    return ((spec.F, ahat_factor(top), "witten"), (spec.Fperp, second, variant))
+    return ((spec.F, "ahat", "witten"), (spec.Fperp, "l" if variant == "R" else "ahat", variant))
 
 
 def split_genus(spec: SplitManifoldSpec, variant: str, order: int) -> QSeries:

@@ -323,10 +323,8 @@ def ch_denominator(k: int) -> int:
 def _tower_series(E: KClass, tower: str, order: int) -> QSeries:
     top = E.top
     rows = tower_log(tower, order, top)
-    logs = []
-    for bundle, mult in E.parts:
-        for k, (x, h) in enumerate(zip(bundle_power_sums(bundle, top), rows), 1):
-            logs.append((x, k, [mult * v for v in h], ch_denominator(k)))
+    logs = [(bundle, k, [mult * v for v in h], ch_denominator(k))
+            for bundle, mult in E.parts for k, h in enumerate(rows, 1)]
     return QSeries(GradedRing(top), 0, exp_slots(logs, order, top), order)
 
 

@@ -356,3 +356,49 @@ def test_pairing_missing_number_is_an_error():
     density = p_gen(1, 8) ** 2 + p_gen(2, 8)
     with pytest.raises(MissingNumberError):
         pair_fundamental(density, nums)
+
+
+# -- cached symbolic data -----------------------------------------------------
+
+
+def test_returned_values_do_not_share_the_caches():
+    from genusforge.genus import SplitManifoldSpec, split_genus
+    from genusforge.ktheory import KClass, witten_element
+
+    top, bundle = 8, BundleRoots(2, "F")
+    sums = bundle_power_sums(bundle, top)
+    want_sums = [s.to_strings() for s in sums]
+    seq = genus_sequence(ahat_factor(top), top, bundle="F", pairs=2)
+    want_seq = seq.to_strings()
+    psi = witten_element(KClass.bundle(bundle, top), 5)
+    want_psi = [c.to_strings() for c in psi.coeffs]
+    spec = SplitManifoldSpec(8, 2, 2, {"p1(F)^2": 1, "p2(F)": 2, "p1(F)*p1(Fperp)": 3,
+                                       "p1(Fperp)^2": 4, "p2(Fperp)": 5})
+    want_genus = split_genus(spec, "R", 5)
+    # change every returned value in place
+    sums[0].terms.clear()
+    sums[1].terms[()] = Fraction(7)
+    sums.append(sums[0])
+    seq.terms.clear()
+    for c in psi.coeffs:
+        c.terms[()] = Fraction(11)
+    assert [s.to_strings() for s in bundle_power_sums(bundle, top)] == want_sums
+    assert genus_sequence(ahat_factor(top), top, bundle="F", pairs=2).to_strings() == want_seq
+    assert genus_sequence("ahat", top, bundle="F", pairs=2).to_strings() == want_seq
+    again = witten_element(KClass.bundle(bundle, top), 5)
+    assert [c.to_strings() for c in again.coeffs] == want_psi
+    assert split_genus(spec, "R", 5) == want_genus
+    # the factor series are immutable
+    with pytest.raises(TypeError):
+        ahat_factor(top)[0] = 2
+
+
+def test_graded_poly_results_are_clean():
+    top = 8
+    p1, p2 = p_gen(1, top), p_gen(2, top)
+    x = p1 * Fraction(1, 2) + p2
+    for poly in (x + (-x), x * 0, x - x, (x * p1) * p1):
+        assert poly.terms == {}
+    for poly in (x * x, -x, x * 3, x + p1):
+        assert all(isinstance(c, Fraction) and c for c in poly.terms.values())
+        assert all(sum(4 * s[2] * e for s, e in m) <= top for m in poly.terms)

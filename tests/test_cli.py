@@ -178,6 +178,27 @@ _MALFORMED = {
         ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
         {"dim": 4, "f_pairs": -1, "fperp_pairs": 3, "numbers": {"p1(Fperp)": 3}},
     ),
+    # numbers that are not exact rationals, and dims or degrees that do not fit
+    "number_float": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": 4, "numbers": {"p1": 1.5}},
+    ),
+    "dim_negative": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": -4, "numbers": {}},
+    ),
+    "monomial_wrong_degree": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": 8, "numbers": {"p1": 3}},
+    ),
+    "split_number_list": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": 4, "f_pairs": 2, "fperp_pairs": 0, "numbers": {"p1(F)": []}},
+    ),
+    "component_number_object": (
+        ["equivariant", "H", "--exact", "--order", "6", "--model"],
+        _bool_point(numbers={"1": {}}),
+    ),
     # acceptance tolerances must be finite and positive
     "jacobi_tol_inf": (["jacobi", "verify", "--tol", "inf", "--model"],
                        get("free_point").to_json()["model"]),
@@ -325,8 +346,12 @@ def test_mutated_catalog_payloads_exit_without_an_exception(tmp_path):
             for key in path:
                 node = node[key]
             node[last] = rng.choice(_FUZZ_VALUES)
-            code = run(argv + [write_model(tmp_path, f"{name}_{i}", payload)])[0]
+            code, report, _ = run(argv + [write_model(tmp_path, f"{name}_{i}", payload)])
             assert code in (0, 1, 2), (argv, payload)
+            if code == 2:
+                # bad input is a schema error, not a ring or degree bookkeeping fault
+                assert report["error"]["type"] not in ("RingMismatchError", "DimensionError"), (
+                    argv, payload, report["error"])
 
 
 @pytest.mark.parametrize("case", sorted(_POLES))

@@ -648,3 +648,23 @@ def test_jacobi_matrix_outside_subgroup():
     meta = form_meta(model, "G")
     with pytest.raises(SchemaError):
         jacobi_residual(evaluator(model, "G"), meta, SAMPLES, matrices=[MAT_S])
+
+
+def test_static_values_build_the_walk_once():
+    # the symbolic half of the static pairing is cached per (dim, splitting):
+    # every value at every tau, and each variant, share one walk
+    from genusforge.charclass import exp_walk
+    from genusforge.genus import split_genus_value
+
+    rng = random.Random(61)
+    numbers = {m: Q(rng.randint(-9, 9), rng.choice([1, 2, 3])) for m in split_monomials(8, 2, 2)}
+    model = EquivariantModel("split", 2, 2, 0, [FixedComponent(8, 1, 2, 2, numbers=numbers)])
+    exp_walk.cache_clear()
+    taus = [complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 1.5)) for _ in range(12)]
+    for tau in taus:
+        for variant in ("G", "G1", "G2"):
+            g_eval(model, variant, 0.21 - 0.03j, tau)
+        split_genus_value(model.components[0].static, "R", tau, 1e-12)
+    info = exp_walk.cache_info()
+    assert info.misses == 1
+    assert info.hits == len(taus) * 4 - 1

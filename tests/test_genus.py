@@ -11,6 +11,8 @@ from genusforge.charclass import (
     BundleRoots,
     CharNumbers,
     GradedPoly,
+    GradedRing,
+    genus_sequence,
     pair_fundamental,
     parse_monomial,
 )
@@ -395,3 +397,88 @@ def test_a_vanishing_coefficient_reads_no_number():
             lambda nums: _paired_series(nums, order, ((tangent, factor, "witten"),)))
     got = _paired_series(CharNumbers(8, {"p2": 5}), 2, ((tangent, factor, "witten"),))
     assert list(got.coeffs) == [5, 0]
+
+
+# -- the cached walk and the top-degree sub-Dirac pairing ---------------------
+
+
+def _drop(table, key):
+    mono = parse_monomial(key)
+    return {k: v for k, v in table.items() if parse_monomial(k) != mono}
+
+
+def test_subdirac_matches_slotwise_pairing_of_the_full_density():
+    rng = random.Random(41)
+    cases = []
+    for dim in (4, 8, 12, 16):
+        for _ in range(2):
+            p = rng.randint(0, dim // 2)
+            cases.append((dim, p, rng.randint(1, 12)))
+    cases.append((24, 5, 8))
+    for dim, p, order in cases:
+        r = dim // 2 - p
+        spec = SplitManifoldSpec(dim, p, r, _table(rng, split_monomials(dim, p, r)))
+        psi = witten_element(KClass.bundle(spec.F, dim), order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegralityWarning)
+            got = subdirac_index(spec, psi=psi)
+            static = subdirac_index(spec, psi=psi.coeffs[-1])
+        want = [pair_fundamental(c, spec.numbers) for c in index_density(spec, psi=psi).coeffs]
+        assert (got.offset, got.order, list(got.coeffs)) == (0, order, want), (dim, p, order)
+        assert static == pair_fundamental(index_density(spec, psi=psi.coeffs[-1]), spec.numbers)
+
+
+def test_cached_walks_match_the_referee_in_interleaved_order():
+    # each (dim, splitting) comes back after others were built, so later
+    # calls run on cached walks and moments
+    rng = random.Random(42)
+    cases = [("R", 8, 2, 4), ("witten", 8, 4, 5), ("R1", 4, 1, 6), ("R2", 8, 3, 3),
+             ("witten", 4, 2, 7), ("R", 4, 2, 5)]
+    densities = {}
+    for kind, dim, p, order in cases * 2:
+        key = (kind, dim, p, order)
+        if kind == "witten":
+            numbers = CharNumbers(dim, _table(rng, tangent_keys(dim)))
+            if key not in densities:
+                densities[key] = referee.witten_density(dim, order)
+            got = witten_genus(numbers, order)
+        else:
+            r = dim // 2 - p
+            spec = SplitManifoldSpec(dim, p, r, _table(rng, split_monomials(dim, p, r)))
+            numbers = spec.numbers
+            if key not in densities:
+                densities[key] = referee.split_density(spec.F, spec.Fperp, kind, dim, order)
+            got = split_genus(spec, kind, order)
+        assert list(got.coeffs) == referee.paired(densities[key], numbers), key
+
+
+def test_missing_numbers_raise_only_when_some_slot_needs_them():
+    rng = random.Random(43)
+    full = _table(rng, split_monomials(8, 2, 2))
+    # psi cancels the p1(F)^2 term of Ahat(F) L(Fperp) in both of its slots
+    p1sq = parse_monomial("p1(F)^2")
+    base = ahat_poly(BundleRoots(2, "F"), 8) * l_poly(BundleRoots(2, "Fperp"), 8)
+    c = GradedPoly.constant(1, 8) - GradedPoly({p1sq: base.terms[p1sq]}, 8)
+    psi = QSeries(GradedRing(8), 0, [c, c * 3], 2)
+    spec = SplitManifoldSpec(8, 2, 2, _drop(full, "p1(F)^2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegralityWarning)
+        got = subdirac_index(spec, psi=psi)
+        want = [pair_fundamental(c, spec.numbers) for c in index_density(spec, psi=psi).coeffs]
+        assert list(got.coeffs) == want
+        short = SplitManifoldSpec(8, 2, 2, _drop(full, "p2(F)"))
+        with pytest.raises(MissingNumberError):
+            subdirac_index(short, psi=psi)
+        with pytest.raises(MissingNumberError):
+            split_genus(short, "R", 3)
+    # split_genus's pairing with a factor whose log cancels p1(F)^2 at
+    # order 1 (f = exp(u - u^2/2), as above) never needs the number; the
+    # towers' q^1 slot at order 3 does
+    from genusforge.genus import _paired_series
+
+    towers = ((spec.F, [1, 0, 1, 0, 0], "witten"), (spec.Fperp, "l", "R"))
+    got = _paired_series(spec.numbers, 1, towers)
+    density = genus_sequence([1, 0, 1, 0, 0], 8, "F", 2) * l_poly(spec.Fperp, 8)
+    assert list(got.coeffs) == [pair_fundamental(density, spec.numbers)]
+    with pytest.raises(MissingNumberError):
+        _paired_series(spec.numbers, 3, towers)
