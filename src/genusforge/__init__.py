@@ -3,7 +3,7 @@ multiplicative genera, theta functions and equivariant fixed-point sums."""
 
 __version__ = "0.1.0"
 
-from genusforge.rings import RATIONAL, LAURENT, ComplexRing, LaurentZ
+from genusforge.rings import RATIONAL, LAURENT, LaurentZ
 from genusforge.series import QSeries
 from genusforge.charclass import BundleRoots, CharNumbers, GradedPoly, GradedRing
 from genusforge.ktheory import KClass, lambda_total, sym_total, witten_element, r_variants
@@ -41,7 +41,7 @@ from genusforge.equivariant import (
 )
 
 __all__ = [
-    "RATIONAL", "LAURENT", "ComplexRing", "LaurentZ", "QSeries",
+    "RATIONAL", "LAURENT", "LaurentZ", "QSeries",
     "BundleRoots", "CharNumbers", "GradedPoly", "GradedRing",
     "KClass", "lambda_total", "sym_total", "witten_element", "r_variants",
     "THETA", "THETA1", "THETA2", "THETA3",

@@ -103,6 +103,8 @@ def parse_monomial(text: str):
         index = int(index)
         if index < 1:
             raise SchemaError(f"symbol index must be positive in {chunk!r}")
+        if power is not None and int(power) == 0:
+            raise SchemaError(f"exponent must be positive in {chunk!r}")
         sym = _sym(kind, bundle, index)
         factors[sym] = factors.get(sym, 0) + (int(power) if power else 1)
     return tuple(sorted(factors.items()))
@@ -302,8 +304,7 @@ class BundleRoots:
 class GradedRing(CoefficientRing):
     """Coefficient ring of GradedPoly values for series with class coefficients.
 
-    Not part of the serializable ring set; used internally by the power
-    operations and the genus pipeline.
+    Used internally by the power operations and the genus pipeline.
     """
 
     kind = "graded"
@@ -690,8 +691,14 @@ class CharNumbers:
         if not isinstance(numbers, dict):
             raise SchemaError("'numbers' must be an object of monomial keys")
         self.numbers = {}
+        keys = {}
         for key, val in numbers.items():
             mono = parse_monomial(key) if isinstance(key, str) else key
+            if mono in keys:
+                raise SchemaError(
+                    f"numbers {keys[mono]!r} and {key!r} name the same monomial {mono_str(mono)}"
+                )
+            keys[mono] = key
             deg = _mono_degree(mono)
             if deg != self.dim:
                 raise DimensionError(
@@ -730,10 +737,10 @@ class CharNumbers:
     def from_json(cls, obj: dict) -> "CharNumbers":
         if not isinstance(obj, dict) or "dim" not in obj or "numbers" not in obj:
             raise SchemaError("characteristic numbers need 'dim' and 'numbers'")
-        return cls.from_payload(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
+        return cls.from_fields(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
 
     @classmethod
-    def from_payload(cls, dim: int, numbers, spin: bool | None = None) -> "CharNumbers":
+    def from_fields(cls, dim: int, numbers, spin: bool | None = None) -> "CharNumbers":
         """CharNumbers from payload fields, raising SchemaError for any fault in them.
 
         A negative dim, a monomial of the wrong degree or a number that is

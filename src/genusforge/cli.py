@@ -10,17 +10,18 @@ Five subcommand groups mirror the library layers:
 
 Reports go to stdout as JSON (exact rationals as fraction strings) or,
 with --format text, as plain tables.  Every report echoes the command,
-a sha256 digest per input file, and the thread cap.  Exit codes: 0 all
-verdicts pass, 1 a verdict failed, 2 bad input or schema.
+a sha256 digest per input file, and a threads key fixed at 1 (the engine
+is single-threaded).  Exit codes: 0 all verdicts pass, 1 a verdict
+failed, 2 bad input or schema.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
-import os
 import random
 import sys
 import warnings
@@ -71,19 +72,6 @@ GRID_CAP = 64
 DIM_CAP = 24
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("GENUSFORGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise SchemaError(f"GENUSFORGE_THREADS={raw!r} is not an integer") from None
-    if cap < 1:
-        raise SchemaError("GENUSFORGE_THREADS must be at least 1")
-    return cap
-
-
 def _load_json(path: str, report: dict, key: str):
     try:
         with open(path, "rb") as fh:
@@ -116,9 +104,12 @@ def _load_payload(path: str, report: dict, key: str, kind):
 
 def _parse_complex(text: str, flag: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise SchemaError(f"{flag}: {text!r} is not a complex number") from None
+    if not cmath.isfinite(value):
+        raise SchemaError(f"{flag}: {text!r} is not finite")
+    return value
 
 
 def _series_rows(series) -> list:
@@ -425,7 +416,7 @@ def run(argv=None) -> tuple:
     report = {
         "command": f"{args.group} {args.command}",
         "argv": list(sys.argv[1:] if argv is None else argv),
-        "threads": 0,
+        "threads": 1,
         "inputs": {},
         "results": {},
         "verdicts": [],
@@ -434,7 +425,6 @@ def run(argv=None) -> tuple:
     }
     fmt = getattr(args, "format", "json")
     try:
-        report["threads"] = _thread_cap()
         order = getattr(args, "order", None)
         low = 0 if args.group == "genus" else 1
         if order is not None and not low <= order <= ORDER_CAP:

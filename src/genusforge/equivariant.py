@@ -377,7 +377,7 @@ class ExactSeries:
     def __init__(self, num: QSeries, den: LaurentZ):
         if num.ring != LAURENT:
             raise SchemaError("exact series need Laurent coefficients")
-        if LAURENT.is_zero(den):
+        if not den:
             raise ZeroDivisionError("denominator of an exact series is zero")
         self.num = num
         self.den = den
@@ -564,7 +564,7 @@ def _qpow(tau, expo) -> complex:
 
 
 def check_poles(model: EquivariantModel, t, tau):
-    """Check tau, then reject t where a speed s puts s t on a pole or out of range.
+    """Check tau and t, then reject t where a speed s puts s t on a pole or out of range.
 
     The theta quotients have poles on the lattice Z + tau Z, so s t is
     first moved by round(Im(s t) / Im(tau)) tau and then measured against
@@ -572,13 +572,19 @@ def check_poles(model: EquivariantModel, t, tau):
     grow like exp(pi Im(s t)^2 / Im(tau)), which leaves double range near
     exp(709): the quotient path returned NaN or raised from 706 on (Im tau
     from the 0.05 floor to 20, every genus function).  Points past
-    GROWTH_BOUND = 690 are a SchemaError.
+    GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and an
+    s t past double range.  Im(s t)^2 is taken as a product, so a huge
+    Im(s t) reads as past the bound, not as an overflow.
     """
     check_tau(tau)
     tc, tauc = complex(t), complex(tau)
+    if not cmath.isfinite(tc):
+        raise SchemaError(f"t = {tc} is not finite")
     for s in model.speeds():
         x = s * tc
-        growth = math.pi * x.imag**2 / tauc.imag
+        if not cmath.isfinite(x):
+            raise SchemaError(f"speed {s} puts {s}*t past double range")
+        growth = math.pi * x.imag * x.imag / tauc.imag
         if growth > GROWTH_BOUND:
             raise SchemaError(
                 f"speed {s} puts pi Im(s t)^2 / Im(tau) = {growth:.4g} past the bound "

@@ -84,7 +84,7 @@ class SplitManifoldSpec:
         self.F = BundleRoots(p, "F")
         self.Fperp = BundleRoots(r, "Fperp")
         if not isinstance(numbers, CharNumbers):
-            numbers = CharNumbers.from_payload(self.dim, numbers)
+            numbers = CharNumbers.from_fields(self.dim, numbers)
         if numbers.dim != self.dim:
             raise SchemaError("characteristic numbers live in the wrong degree")
         for mono in numbers.numbers:

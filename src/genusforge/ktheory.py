@@ -99,9 +99,6 @@ class KClass:
     def __hash__(self):
         raise TypeError("KClass is not hashable")
 
-    def caps(self) -> dict:
-        return {b.name: b.pair_count for b, m in self.parts}
-
     def __repr__(self):
         bits = [f"{m}*{b!r}" for b, m in self.parts]
         if self.shift or not bits:

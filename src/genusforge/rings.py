@@ -1,10 +1,9 @@
-"""Coefficient rings for truncated series.
+"""Exact coefficient rings for truncated series.
 
-Three interchangeable variants are serializable: exact rationals, Laurent
-polynomials in one formal variable over the rationals, and complex doubles
-with an absolute comparison tolerance.  The exact variants have decidable
-equality; the complex variant compares within its tolerance and is the
-only one without exact zero tests.
+Two variants live here: rationals, and Laurent polynomials in one formal
+variable over the rationals (charclass adds the graded ring of classes).
+Every ring is exact, so a series tests its coefficients for zero by
+truthiness and compares them with ==.
 """
 
 from __future__ import annotations
@@ -217,10 +216,9 @@ class LaurentZ:
 
 
 class CoefficientRing:
-    """Descriptor with construction, equality and serialization hooks."""
+    """Descriptor with the construction and inversion hooks of a coefficient ring."""
 
     kind = "abstract"
-    exact = True
     allows_transcendental = False
 
     def zero(self):
@@ -232,26 +230,11 @@ class CoefficientRing:
     def coerce(self, value):
         raise NotImplementedError
 
-    def is_zero(self, x) -> bool:
-        return not x
-
-    def eq(self, x, y) -> bool:
-        return x == y
-
     def inv(self, x):
         raise NotImplementedError
 
     def div_int(self, x, n: int):
         raise NotImplementedError
-
-    def to_payload(self, x):
-        raise NotImplementedError
-
-    def from_payload(self, obj):
-        raise NotImplementedError
-
-    def tag(self) -> dict:
-        return {"ring": self.kind}
 
     def __eq__(self, other):
         return type(self) is type(other)
@@ -284,14 +267,6 @@ class RationalRing(CoefficientRing):
     def div_int(self, x, n):
         return x / n
 
-    def to_payload(self, x):
-        return fraction_str(x)
-
-    def from_payload(self, obj):
-        if not isinstance(obj, str):
-            raise SchemaError("rational coefficients serialize as 'p/q' strings")
-        return as_fraction(obj)
-
 
 class LaurentRing(CoefficientRing):
     kind = "laurent"
@@ -317,82 +292,9 @@ class LaurentRing(CoefficientRing):
     def div_int(self, x, n):
         return x * Fraction(1, n)
 
-    def to_payload(self, x):
-        return {"z_low": x.lo, "coeffs": [fraction_str(c) for c in x.coeffs]}
-
-    def from_payload(self, obj):
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise SchemaError("laurent coefficients serialize as {z_low, coeffs}")
-        return LaurentZ(int(obj.get("z_low", 0)), [as_fraction(c) for c in obj["coeffs"]])
-
-
-class ComplexRing(CoefficientRing):
-    """Complex doubles compared within an absolute tolerance."""
-
-    kind = "complex"
-    exact = False
-
-    def __init__(self, tol: float = 1e-9):
-        if not (tol > 0):
-            raise ValueError("tolerance must be positive")
-        self.tol = float(tol)
-
-    def zero(self):
-        return 0j
-
-    def one(self):
-        return 1 + 0j
-
-    def coerce(self, value):
-        if isinstance(value, (complex, float, int, Fraction)):
-            return complex(value)
-        raise RingMismatchError(f"cannot treat {value!r} as a complex coefficient")
-
-    def is_zero(self, x):
-        return abs(x) <= self.tol
-
-    def eq(self, x, y):
-        return abs(x - y) <= self.tol
-
-    def inv(self, x):
-        if abs(x) <= self.tol:
-            raise NonUnitError("inverting a complex value inside the zero tolerance")
-        return 1 / x
-
-    def div_int(self, x, n):
-        return x / n
-
-    def to_payload(self, x):
-        return [x.real, x.imag]
-
-    def from_payload(self, obj):
-        if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-            raise SchemaError("complex coefficients serialize as [re, im]")
-        return complex(float(obj[0]), float(obj[1]))
-
-    def tag(self):
-        return {"ring": self.kind, "tol": self.tol}
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.tol == other.tol
-
-    def __hash__(self):
-        return hash((type(self), self.tol))
-
 
 RATIONAL = RationalRing()
 LAURENT = LaurentRing()
-
-
-def ring_from_tag(tag: dict) -> CoefficientRing:
-    kind = tag.get("ring")
-    if kind == "rational":
-        return RATIONAL
-    if kind == "laurent":
-        return LAURENT
-    if kind == "complex":
-        return ComplexRing(tag.get("tol", 1e-9))
-    raise SchemaError(f"unknown coefficient ring tag {tag!r}")
 
 
 def check_same_ring(a: CoefficientRing, b: CoefficientRing):

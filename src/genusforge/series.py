@@ -4,6 +4,7 @@ A series stores coefficients at exponents offset + k/2 for 0 <= k < order
 and treats everything below the offset as identically zero.  Coefficients
 at or past offset + order/2 are unknown: arithmetic never fabricates them,
 so a product is only known to the shorter of the two input windows.
+Coefficients lie in an exact ring, so zero tests and equality are exact.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from genusforge.errors import (
     SchemaError,
     TruncationError,
 )
-from genusforge.rings import (
-    CoefficientRing,
-    as_fraction,
-    check_same_ring,
-    fraction_str,
-    ring_from_tag,
-)
+from genusforge.rings import CoefficientRing, as_fraction, check_same_ring
 
 STEP = Fraction(1, 2)
 
@@ -77,10 +72,6 @@ class QSeries:
     # -- structure ------------------------------------------------------
 
     @property
-    def step(self):
-        return STEP
-
-    @property
     def end_exponent(self) -> Fraction:
         """First unknown exponent."""
         return self.offset + self.order * STEP
@@ -90,7 +81,7 @@ class QSeries:
 
     def terms(self):
         for k, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 yield self.exponent(k), c
 
     def coefficient(self, expo):
@@ -105,7 +96,7 @@ class QSeries:
 
     def leading_index(self):
         for k, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 return k
         return None
 
@@ -132,7 +123,7 @@ class QSeries:
         a, b = self.normalized(), other.normalized()
         if a.order != b.order or a.offset != b.offset:
             return False
-        return all(self.ring.eq(x, y) for x, y in zip(a.coeffs, b.coeffs))
+        return a.coeffs == b.coeffs
 
     def __hash__(self):
         raise TypeError("truncated series are not hashable")
@@ -201,7 +192,7 @@ class QSeries:
         if a.order == 0:
             raise NonUnitError("cannot invert a series with no known coefficients")
         lead = a.coeffs[0]
-        if self.ring.is_zero(lead):
+        if not lead:
             raise NonUnitError("cannot invert the zero series")
         lead_inv = self.ring.inv(lead)
         cs = series_inv(list(a.coeffs), a.order, lead_inv, self.ring.zero())
@@ -216,7 +207,7 @@ class QSeries:
         if shift >= 0:
             return [zero] * shift + list(self.coeffs), self.order + shift
         for k in range(min(-shift, self.order)):
-            if not self.ring.is_zero(self.coeffs[k]):
+            if self.coeffs[k]:
                 raise ValueError("series has terms at non-positive exponents")
         return list(self.coeffs[-shift:]), self.order + shift
 
@@ -227,7 +218,7 @@ class QSeries:
         a, order = self._rebased_integral()
         if order <= 0:
             return QSeries.one(self.ring, max(order, 0))
-        if not self.ring.is_zero(a[0]):
+        if a[0]:
             raise ValueError("exp needs a zero constant term")
         zero = self.ring.zero()
         out = [zero] * order
@@ -235,7 +226,7 @@ class QSeries:
         for k in range(1, order):
             acc = zero
             for j in range(1, k + 1):
-                if not self.ring.is_zero(a[j]):
+                if a[j]:
                     acc = acc + (a[j] * j) * out[k - j]
             out[k] = self.ring.div_int(acc, k)
         return QSeries(self.ring, 0, out, order)
@@ -247,14 +238,14 @@ class QSeries:
         a, order = self._rebased_integral()
         if order <= 0:
             raise ValueError("log needs a known constant term")
-        if not self.ring.eq(a[0], self.ring.one()):
+        if a[0] != self.ring.one():
             raise ValueError("log needs constant term one")
         zero = self.ring.zero()
         out = [zero] * order
         for k in range(1, order):
             acc = zero
             for j in range(1, k):
-                if not self.ring.is_zero(out[j]):
+                if out[j]:
                     acc = acc + (out[j] * j) * a[k - j]
             out[k] = a[k] - self.ring.div_int(acc, k)
         return QSeries(self.ring, 0, out, order)
@@ -290,51 +281,3 @@ class QSeries:
             parts.append(f"({c!r})*q^{expo}")
         body = " + ".join(parts) if parts else "0"
         return f"QSeries[{self.ring.kind}]({body} + O(q^{self.end_exponent}))"
-
-    # -- serialization --------------------------------------------------
-
-    def to_json(self) -> dict:
-        payload = {
-            "offset": fraction_str(self.offset),
-            "step": "1/2",
-            "order": self.order,
-            "coeffs": [self.ring.to_payload(c) for c in self.coeffs],
-        }
-        payload.update(self.ring.tag())
-        return payload
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QSeries":
-        try:
-            ring = ring_from_tag(obj)
-            if obj.get("step", "1/2") != "1/2":
-                raise SchemaError("the exponent grid step is fixed at 1/2")
-            offset = as_fraction(obj["offset"])
-            order = int(obj["order"])
-            coeffs = [ring.from_payload(c) for c in obj["coeffs"]]
-        except KeyError as exc:
-            raise SchemaError(f"series payload is missing {exc}") from exc
-        if len(coeffs) != order:
-            raise SchemaError("series payload length disagrees with its order")
-        return cls(ring, offset, coeffs, order)
-
-
-def geometric(ring, exponent, value, order) -> QSeries:
-    """1/(1 - value*q**exponent) expanded directly on the grid."""
-    expo = as_fraction(exponent)
-    if expo <= 0:
-        raise ValueError("geometric expansion needs a positive exponent")
-    idx = expo / STEP
-    if idx.denominator != 1:
-        raise GridError(f"exponent {exponent} is off the half-integer grid")
-    stride = int(idx)
-    value = ring.coerce(value)
-    zero = ring.zero()
-    out = [zero] * order
-    acc = ring.one()
-    k = 0
-    while k < order:
-        out[k] = acc
-        acc = acc * value
-        k += stride
-    return QSeries(ring, 0, out, order)

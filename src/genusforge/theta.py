@@ -190,11 +190,12 @@ def theta_prime0_series(order: int) -> ThetaSeries:
 
 
 def check_tau(tau):
-    """Reject tau below the documented evaluation floor Im(tau) >= TAU_FLOOR."""
-    if not complex(tau).imag >= TAU_FLOOR:
-        raise SchemaError(
-            f"Im(tau) = {complex(tau).imag} is below the evaluation floor {TAU_FLOOR}"
-        )
+    """Reject a non-finite tau and tau below the evaluation floor Im(tau) >= TAU_FLOOR."""
+    tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise SchemaError(f"tau = {tau} is not finite")
+    if not tau.imag >= TAU_FLOOR:
+        raise SchemaError(f"Im(tau) = {tau.imag} is below the evaluation floor {TAU_FLOOR}")
 
 
 def _factor_count(absq, grow, tol):

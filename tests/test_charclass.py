@@ -58,7 +58,7 @@ def test_parse_round_trip():
 
 
 def test_parse_rejects_malformed():
-    for bad in ("q1", "p0", "p1(", "p1()", "p-1", "p1^"):
+    for bad in ("q1", "p0", "p1(", "p1()", "p-1", "p1^", "p1^0", "p1^0*p2"):
         with pytest.raises(SchemaError):
             parse_monomial(bad)
 
@@ -294,6 +294,16 @@ def test_char_numbers_validation():
     assert "p1*p1" in nums
     with pytest.raises(MissingNumberError):
         nums[parse_monomial("p1(F)^2")]
+    # two keys for one monomial: refused in either order, naming both keys
+    for table in ({"p1": 3, "p1^1": -48}, {"p1^1": -48, "p1": 3}):
+        with pytest.raises(SchemaError, match=r"'p1\^1'") as info:
+            CharNumbers(4, table)
+        assert "'p1'" in str(info.value)
+    with pytest.raises(SchemaError):
+        CharNumbers(8, {"p1^2": 1, "p1*p1": 1, "p2": 2})
+    # a zero exponent names no factor
+    with pytest.raises(SchemaError):
+        CharNumbers.from_json({"dim": 0, "numbers": {"p1^0": 5}})
 
 
 def test_char_numbers_json_round_trip():

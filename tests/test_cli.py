@@ -52,6 +52,7 @@ def test_genus_compute_witten(k3_file):
     digest = hashlib.sha256(open(k3_file, "rb").read()).hexdigest()
     assert report["inputs"]["spec"]["sha256"] == digest
     assert report["pass"] is True and report["verdicts"] == []
+    assert report["threads"] == 1
 
 
 def test_genus_split_and_subdirac_agree_on_trivial_splitting(k3_file, k3_split_file):
@@ -208,6 +209,36 @@ _MALFORMED = {
                         get("free_point").to_json()["model"]),
     "theta_tol_nan": (_THETA + ["--tol", "nan"], None),
     "theta_tol_inf": (_THETA + ["--tol", "inf"], None),
+    # points that are not finite, or whose s t leaves double range
+    "t_nan": (["equivariant", "H", "--t", "nan", "--tau", "1j", "--model"],
+              get("free_point").to_json()["model"]),
+    "tau_imag_overflow": (["equivariant", "H", "--t", "0.1", "--tau", "1e400j", "--model"],
+                          get("free_point").to_json()["model"]),
+    "t_imag_squared_overflow": (
+        ["equivariant", "H", "--t", "0.1+1e300j", "--tau", "1j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "lefschetz_t_inf": (["equivariant", "lefschetz", "--t", "inf", "--tau", "1j", "--model"],
+                        get("free_point").to_json()["model"]),
+    "exact_t_nan": (["equivariant", "H", "--exact", "--t", "nan", "--tau", "1j", "--model"],
+                    get("free_point").to_json()["model"]),
+    "speed_3_t_past_double_range": (
+        ["equivariant", "H", "--t", "1e308", "--tau", "1j", "--model"],
+        _bool_point(moving_f=[{"rank": 1, "m": 3}]),
+    ),
+    # keys that name one monomial twice, or a factor to the power 0
+    "numbers_same_monomial": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": 4, "numbers": {"p1": 3, "p1^1": -48}},
+    ),
+    "numbers_zero_exponent": (
+        ["genus", "compute", "--genus", "witten", "--order", "4", "--spec"],
+        {"dim": 0, "numbers": {"p1^0": 5}},
+    ),
+    "split_same_monomial": (
+        ["genus", "compute", "--genus", "split-R", "--order", "4", "--spec"],
+        {"dim": 4, "f_pairs": 2, "fperp_pairs": 0, "numbers": {"p1(F)": 3, "p1(F)^1": -48}},
+    ),
 }
 
 # requests past a size cap, with the cap their error must name
@@ -498,15 +529,6 @@ def test_catalog_show_unknown_exit_2():
     code, report, _ = run(["catalog", "show", "k4"])
     assert code == 2
     assert "k4" in report["error"]["message"]
-
-
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("GENUSFORGE_THREADS", "3")
-    assert run(["catalog", "list"])[1]["threads"] == 3
-    monkeypatch.setenv("GENUSFORGE_THREADS", "zero")
-    assert run(["catalog", "list"])[0] == 2
-    monkeypatch.setenv("GENUSFORGE_THREADS", "0")
-    assert run(["catalog", "list"])[0] == 2
 
 
 def test_unknown_subcommand_exit_2(capsys):

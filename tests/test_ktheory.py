@@ -60,7 +60,6 @@ def test_kclass_bookkeeping():
     E = KClass(((A, 1), (B, 2)), shift=-3, top=8)
     assert E.rank == 4 + 4 - 3
     assert E.reduced().rank == 0
-    assert E.caps() == {"A": 2, "B": 1}
     assert (E - E) == KClass.constant(0, 8)
     assert KClass.bundle(A, 8) + KClass.constant(-4, 8) == KClass(((A, 1),), -4, 8)
     with pytest.raises(TypeError):
