@@ -117,7 +117,7 @@ def _series_rows(series) -> list:
     return [[str(expo), fraction_str(coeff)] for expo, coeff in series.terms()]
 
 
-def _exact_json(series) -> dict:
+def _laurent_json(series) -> dict:
     """ExactSeries as numerator rows over a q-free denominator."""
     rows = [[str(expo), laurent_strings(coeff)] for expo, coeff in series.num.terms()]
     return {"den": laurent_strings(series.den), "num": rows}
@@ -231,7 +231,7 @@ def _cmd_equivariant(args, report):
                               f"up to the cap {WIDTH_CAP}, not {width}")
         order = args.order if args.order is not None else 8
         series = exact_series(model, function, order)
-        results.update(mode="exact", order=order, series=_exact_json(series))
+        results.update(mode="exact", order=order, series=_laurent_json(series))
         if point is not None:
             check_poles(model, *point)
             results["value"] = str(series.eval(*point))

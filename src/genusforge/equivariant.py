@@ -17,8 +17,9 @@ Everything exists twice: an exact q-expansion with Laurent coefficients
 in w = e^(pi i t) (an ExactSeries, a series numerator over a q-free
 denominator), and a numeric evaluator at a point (t, tau).  The exact
 path builds each component's term and sums the terms in sparse rows of
-exact numbers, folding them as ExactSeries.__add__ would (the tests'
-referee), and converts the sum to an ExactSeries once.  The numeric
+exact numbers (the storage of LaurentZ, multiplied and added by
+rings.laurent_mul and laurent_add), folding them as ExactSeries.__add__
+would (the tests' referee), and wraps the sum as an ExactSeries.  The numeric
 paths take their accuracy from tol alone: the static parts sum the Lambert
 series of their towers until the tail bound is below tol, and the moving
 blocks truncate their products when the dropped factors are.  The slash
@@ -36,11 +37,19 @@ import cmath
 import math
 from fractions import Fraction
 
-from genusforge._kernels import convolve_full
 from genusforge.charclass import CharNumbers
 from genusforge.errors import PoleError, SchemaError
 from genusforge.genus import SplitManifoldSpec, split_genus, split_genus_value
-from genusforge.rings import LAURENT, RATIONAL, LaurentZ, as_fraction, as_int, fraction_str
+from genusforge.rings import (
+    LAURENT,
+    RATIONAL,
+    LaurentZ,
+    as_fraction,
+    as_int,
+    fraction_str,
+    laurent_add,
+    laurent_mul,
+)
 from genusforge.series import QSeries
 from genusforge.theta import (
     THETA,
@@ -53,6 +62,7 @@ from genusforge.theta import (
     divide_rows,
     euler_factors,
     multiply_rows,
+    reduced_tau,
     rows_series,
     theta_eval,
     theta_prime0,
@@ -422,7 +432,7 @@ class ExactSeries:
     def eval(self, t, tau) -> complex:
         """Numeric value: truncation error is of the size of the first
         dropped q-power."""
-        check_tau(tau)
+        tau = check_tau(tau)
         w = cmath.exp(1j * math.pi * complex(t))
         den = complex(self.den(w))
         acc = 0j
@@ -432,32 +442,6 @@ class ExactSeries:
 
     def __repr__(self):
         return f"ExactSeries(order={self.num.order}, den={self.den!r})"
-
-
-def _dense(a: dict, lo: int) -> list:
-    return [a.get(e, 0) for e in range(lo, max(a) + 1)]
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    """Product of two sparse w-Laurent polynomials {exponent: coefficient}."""
-    if not a or not b:
-        return {}
-    lo_a, lo_b = min(a), min(b)
-    out = convolve_full(_dense(a, lo_a), _dense(b, lo_b), 0)
-    lo = lo_a + lo_b
-    return {lo + i: c for i, c in enumerate(out) if c}
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    """Sum of two sparse w-Laurent polynomials, zeros dropped."""
-    out = dict(a)
-    for e, c in b.items():
-        x = out.get(e, 0) + c
-        if x:
-            out[e] = x
-        else:
-            del out[e]
-    return out
 
 
 def _component_rows(comp: FixedComponent, variant: str, order: int):
@@ -483,15 +467,15 @@ def _component_rows(comp: FixedComponent, variant: str, order: int):
         for _ in range(rank):
             muls += cq2
             divs += body_factors(THETA, order, 2 * m)
-            den = _poly_mul(den, {m: 1, -m: -1})
+            den = laurent_mul(den, {m: 1, -m: -1})
     kind = _VARIANT_THETA[variant]
     for rank, n in comp.moving_fperp:
         for _ in range(rank):
             muls += cq2 + body_factors(kind, order, 2 * n)
             divs += body_factors(THETA, order, 2 * n) + body_factors(kind, order, 0)
             if variant == "G":
-                rows = [_poly_mul(row, {n: 1, -n: 1}) for row in rows]
-            den = _poly_mul(den, {n: 1, -n: -1})
+                rows = [laurent_mul(row, {n: 1, -n: 1}) for row in rows]
+            den = laurent_mul(den, {n: 1, -n: -1})
     if any(rows):
         # q-only factors first, while the rows are still one entry wide
         multiply_rows(rows, [f for f in muls if not f[2]])
@@ -548,11 +532,12 @@ def _sum_components(model, variant, order):
         if total is None:
             total, den = rows, d
         elif d == den:
-            total = [_poly_add(a, b) for a, b in zip(total, rows)]
+            total = [laurent_add(a, b) for a, b in zip(total, rows)]
         else:
-            total = [_poly_add(_poly_mul(a, d), _poly_mul(b, den)) for a, b in zip(total, rows)]
-            den = _poly_mul(den, d)
-    return ExactSeries(rows_series(total), LaurentZ.from_dict(den))
+            total = [laurent_add(laurent_mul(a, d), laurent_mul(b, den))
+                     for a, b in zip(total, rows)]
+            den = laurent_mul(den, d)
+    return ExactSeries(rows_series(total), LaurentZ._trusted(den))
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +545,7 @@ def _sum_components(model, variant, order):
 
 
 def _qpow(tau, expo) -> complex:
-    return cmath.exp(2j * math.pi * complex(tau) * float(expo))
+    return cmath.exp(2j * math.pi * tau * float(expo))
 
 
 def check_poles(model: EquivariantModel, t, tau):
@@ -576,8 +561,8 @@ def check_poles(model: EquivariantModel, t, tau):
     s t past double range.  Im(s t)^2 is taken as a product, so a huge
     Im(s t) reads as past the bound, not as an overflow.
     """
-    check_tau(tau)
-    tc, tauc = complex(t), complex(tau)
+    tauc = check_tau(tau)
+    tc = complex(t)
     if not cmath.isfinite(tc):
         raise SchemaError(f"t = {tc} is not finite")
     for s in model.speeds():
@@ -645,7 +630,7 @@ def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12):
 
 
 def _w_direct(m, t, tau, tol) -> complex:
-    q = cmath.exp(2j * math.pi * complex(tau))
+    q = cmath.exp(2j * math.pi * reduced_tau(tau))
     z = cmath.exp(2j * math.pi * m * complex(t))
     grow = max(abs(z), 1 / abs(z), 1.0)
     out = 1 / (2 * cmath.sinh(1j * math.pi * m * complex(t)))
@@ -656,7 +641,8 @@ def _w_direct(m, t, tau, tol) -> complex:
 
 
 def _v_direct(variant, n, t, tau, tol) -> complex:
-    q = cmath.exp(2j * math.pi * complex(tau))
+    tau = reduced_tau(tau)
+    q = cmath.exp(2j * math.pi * tau)
     z = cmath.exp(2j * math.pi * n * complex(t))
     grow = max(abs(z), 1 / abs(z), 1.0)
     terms = _factor_count(abs(q) ** 0.5, grow, tol)
@@ -671,7 +657,8 @@ def _v_direct(variant, n, t, tau, tol) -> complex:
         if variant == "G":
             out *= (1 + qk * z) * (1 + qk / z) / (1 + qk) ** 2
         else:
-            qh = q ** (k - 0.5)
+            # q^(k - 1/2) from tau: the principal power of q swaps G1 and G2 at |Re tau| > 1/2
+            qh = cmath.exp(2j * math.pi * tau * (k - 0.5))
             sign = -1 if variant == "G1" else 1
             out *= (1 + sign * qh * z) * (1 + sign * qh / z) / (1 + sign * qh) ** 2
     return out

@@ -53,6 +53,7 @@ from genusforge.errors import SchemaError
 from genusforge.ktheory import ch_denominator, tower_log, tower_values
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
+from genusforge.theta import reduced_tau
 
 
 class IntegralityWarning(UserWarning):
@@ -385,7 +386,7 @@ def split_genus_value(spec: SplitManifoldSpec, variant: str, tau, tol: float) ->
     Each tower value is within tol of its infinite Lambert sum
     (ktheory.tower_values), and the pairing is split_genus's with one slot.
     """
-    x = cmath.exp(1j * math.pi * complex(tau))
+    x = cmath.exp(1j * math.pi * reduced_tau(tau))
     rows = [(bundle, factor, [[v] for v in tower_values(tower, x, spec.dim, tol)])
             for bundle, factor, tower in _split_towers(spec, variant)]
     (value,), den = _paired_towers(spec.numbers, 1, rows)

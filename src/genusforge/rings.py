@@ -4,6 +4,9 @@ Two variants live here: rationals, and Laurent polynomials in one formal
 variable over the rationals (charclass adds the graded ring of classes).
 Every ring is exact, so a series tests its coefficients for zero by
 truthiness and compares them with ==.
+
+laurent_mul and laurent_add are the one product and sum of sparse Laurent
+maps {exponent: nonzero coefficient}, for LaurentZ and the exact rows alike.
 """
 
 from __future__ import annotations
@@ -61,98 +64,91 @@ def laurent_strings(lz) -> dict:
 _QZERO = Fraction(0)
 
 
+def laurent_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse Laurent polynomials, convolved dense over their spans."""
+    if not a or not b:
+        return {}
+    lo_a, lo_b = min(a), min(b)
+    out = convolve_full([a.get(e, 0) for e in range(lo_a, max(a) + 1)],
+                        [b.get(e, 0) for e in range(lo_b, max(b) + 1)], 0)
+    lo = lo_a + lo_b
+    return {lo + i: c for i, c in enumerate(out) if c}
+
+
+def laurent_add(a: dict, b: dict) -> dict:
+    """Sum of two sparse Laurent polynomials, zeros dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        x = out.get(e, 0) + c
+        if x:
+            out[e] = x
+        else:
+            del out[e]
+    return out
+
+
 class LaurentZ:
     """Laurent polynomial in z with exact rational coefficients.
 
-    Stored dense: coeffs[i] multiplies z**(lo+i).  Construction strips
-    zero ends; the zero polynomial is lo == 0 with no coefficients.
+    Stored sparse: terms maps each exponent with a nonzero coefficient (an
+    int or a Fraction) to that coefficient, in ascending exponent order.
+    The zero polynomial has no terms.
     """
 
-    __slots__ = ("lo", "coeffs")
+    __slots__ = ("terms",)
 
-    def __init__(self, lo=0, coeffs=()):
-        cs = [as_fraction(c) for c in coeffs]
-        i, j = 0, len(cs)
-        while i < j and not cs[i]:
-            i += 1
-        while j > i and not cs[j - 1]:
-            j -= 1
-        if i == j:
-            self.lo = 0
-            self.coeffs = ()
-        else:
-            self.lo = lo + i
-            self.coeffs = tuple(cs[i:j])
+    def __init__(self, terms=None):
+        self.terms = {}
+        for e, c in sorted((terms or {}).items()):
+            c = as_fraction(c)
+            if c:
+                self.terms[e] = c.numerator if c.denominator == 1 else c
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "LaurentZ":
+        """A LaurentZ over a row already clean: nonzero ints or Fractions."""
+        out = object.__new__(cls)
+        out.terms = dict(sorted(terms.items()))
+        return out
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1) -> "LaurentZ":
-        return cls(exponent, (coeff,))
-
-    @classmethod
-    def from_dict(cls, d) -> "LaurentZ":
-        if not d:
-            return cls()
-        lo = min(d)
-        hi = max(d)
-        # gaps are already Fractions, so __init__ converts each entry once
-        cs = [_QZERO] * (hi - lo + 1)
-        for e, c in d.items():
-            cs[e - lo] = c
-        return cls(lo, cs)
+        return cls({exponent: coeff})
 
     def items(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.lo + i, c
-
-    @property
-    def max_exp(self):
-        if not self.coeffs:
-            return 0
-        return self.lo + len(self.coeffs) - 1
+        return iter(self.terms.items())
 
     def is_monomial(self) -> bool:
-        return sum(1 for c in self.coeffs if c) == 1
+        return len(self.terms) == 1
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentZ(0, (other,))
+            other = LaurentZ({0: other})
         if not isinstance(other, LaurentZ):
             return NotImplemented
-        return self.lo == other.lo and self.coeffs == other.coeffs
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.lo, self.coeffs))
+        return hash(tuple(self.terms.items()))
 
     def __neg__(self):
-        return LaurentZ(self.lo, tuple(-c for c in self.coeffs))
+        return LaurentZ._trusted({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentZ(0, (other,))
+            other = LaurentZ({0: other})
         if not isinstance(other, LaurentZ):
             return NotImplemented
-        if not self:
-            return other
-        if not other:
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.max_exp, other.max_exp)
-        cs = [_QZERO] * (hi - lo + 1)
-        for e, c in self.items():
-            cs[e - lo] += c
-        for e, c in other.items():
-            cs[e - lo] += c
-        return LaurentZ(lo, cs)
+        return LaurentZ._trusted(laurent_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentZ(0, (other,))
+            other = LaurentZ({0: other})
         if not isinstance(other, LaurentZ):
             return NotImplemented
         return self + (-other)
@@ -165,13 +161,10 @@ class LaurentZ:
             q = as_fraction(other)
             if not q:
                 return LaurentZ()
-            return LaurentZ(self.lo, tuple(c * q for c in self.coeffs))
+            return LaurentZ._trusted({e: c * q for e, c in self.terms.items()})
         if not isinstance(other, LaurentZ):
             return NotImplemented
-        if not self or not other:
-            return LaurentZ()
-        cs = convolve_full(list(self.coeffs), list(other.coeffs), _QZERO)
-        return LaurentZ(self.lo + other.lo, cs)
+        return LaurentZ._trusted(laurent_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -190,27 +183,23 @@ class LaurentZ:
     def subst_pow(self, k: int) -> "LaurentZ":
         """Substitute z -> z**k.  k == 0 collapses to the coefficient sum."""
         if k == 0:
-            return LaurentZ(0, (sum(self.coeffs, _QZERO),))
-        return LaurentZ.from_dict({k * e: c for e, c in self.items()})
+            return LaurentZ({0: sum(self.terms.values(), _QZERO)})
+        return LaurentZ._trusted({k * e: c for e, c in self.terms.items()})
 
     def __call__(self, z):
         acc = 0
-        for e, c in self.items():
+        for e, c in self.terms.items():
             acc += complex(c) * z**e
         return acc
 
-    def constant(self) -> Fraction:
-        if not self.coeffs:
-            return _QZERO
-        if self.lo <= 0 <= self.max_exp:
-            return self.coeffs[-self.lo]
-        return _QZERO
+    def constant(self):
+        return self.terms.get(0, _QZERO)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "LaurentZ(0)"
         bits = []
-        for e, c in self.items():
+        for e, c in self.terms.items():
             bits.append(f"{c}*z^{e}" if e else f"{c}")
         return "LaurentZ(" + " + ".join(bits) + ")"
 
@@ -280,14 +269,14 @@ class LaurentRing(CoefficientRing):
     def coerce(self, value):
         if isinstance(value, LaurentZ):
             return value
-        return LaurentZ(0, (as_fraction(value),))
+        return LaurentZ({0: value})
 
     def inv(self, x):
         x = self.coerce(x)
         if not x.is_monomial():
             raise NonUnitError("only monomials are units in the Laurent ring")
         e, c = next(x.items())
-        return LaurentZ.monomial(-e, 1 / c)
+        return LaurentZ.monomial(-e, 1 / Fraction(c))
 
     def div_int(self, x, n):
         return x * Fraction(1, n)

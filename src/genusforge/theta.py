@@ -29,6 +29,9 @@ THETA3 = "theta3"
 KINDS = (THETA, THETA1, THETA2, THETA3)
 
 TAU_FLOOR = 0.05
+# the G quotient's theta'(0) theta1(v) is of size q^(1/4), which leaves the normal
+# double range near Im tau = 450 (it drifts at 460 and divides by zero at 480)
+TAU_CEIL = 400.0
 FACTOR_CAP = 10**4
 
 # per kind: sign inside the product factors, True when exponents sit on n - 1/2
@@ -52,10 +55,12 @@ _PREFIX = {
 # exact products on integer rows
 #
 # rows[k] holds the q^(k/2) coefficient of a series as a sparse map
-# {z-exponent: coefficient}.  Every exact product in this package is a run of
-# factors (1 + c q^(e/2) z^k), written (e, c, k) with e >= 1, and each is a
-# unit of the truncated ring, so multiplying or dividing by one is a single
-# pass over the rows and the factors may be applied in any order.
+# {z-exponent: coefficient}, the storage of LaurentZ itself: coefficients are
+# nonzero ints or Fractions, and a row becomes a LaurentZ by sorting its keys.
+# Every exact product in this package is a run of factors (1 + c q^(e/2) z^k),
+# written (e, c, k) with e >= 1, and each is a unit of the truncated ring, so
+# multiplying or dividing by one is a single pass over the rows and the
+# factors may be applied in any order.
 
 
 def unit_rows(order: int) -> list:
@@ -118,18 +123,14 @@ def divide_rows(rows, factors):
                         del dst[j]
 
 
-def _exact(c: Fraction):
-    return c.numerator if c.denominator == 1 else c
-
-
 def laurent_rows(series: QSeries) -> list:
-    """Rows of a Laurent-coefficient series."""
-    return [{e: _exact(c) for e, c in lz.items()} for lz in series.coeffs]
+    """Rows of a Laurent-coefficient series: a copy of each coefficient's terms."""
+    return [dict(lz.terms) for lz in series.coeffs]
 
 
 def rows_series(rows, offset=0) -> QSeries:
-    """The Laurent-coefficient series held by rows."""
-    return QSeries(LAURENT, offset, [LaurentZ.from_dict(row) for row in rows], len(rows))
+    """The Laurent-coefficient series held by rows, each row wrapped as it is."""
+    return QSeries(LAURENT, offset, [LaurentZ._trusted(row) for row in rows], len(rows))
 
 
 class ThetaSeries:
@@ -189,13 +190,24 @@ def theta_prime0_series(order: int) -> ThetaSeries:
 # numeric evaluation
 
 
-def check_tau(tau):
-    """Reject a non-finite tau and tau below the evaluation floor Im(tau) >= TAU_FLOOR."""
+def reduced_tau(tau) -> complex:
+    """tau with Re(tau) reduced modulo 8 (exact in math.fmod), which leaves every
+    q^(e/8) unchanged; 2 pi i tau e at a huge Re(tau) loses the phase or overflows."""
+    tau = complex(tau)
+    return complex(math.fmod(tau.real, 8.0), tau.imag)
+
+
+def check_tau(tau) -> complex:
+    """Reject a non-finite tau and tau outside TAU_FLOOR <= Im(tau) <= TAU_CEIL;
+    return the reduced_tau that the q-powers are formed from."""
     tau = complex(tau)
     if not cmath.isfinite(tau):
         raise SchemaError(f"tau = {tau} is not finite")
     if not tau.imag >= TAU_FLOOR:
         raise SchemaError(f"Im(tau) = {tau.imag} is below the evaluation floor {TAU_FLOOR}")
+    if tau.imag > TAU_CEIL:
+        raise SchemaError(f"Im(tau) = {tau.imag} is above the evaluation ceiling {TAU_CEIL}")
+    return reduced_tau(tau)
 
 
 def _factor_count(absq, grow, tol):
@@ -227,9 +239,8 @@ def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
     """Numeric theta value from the product formula."""
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
-    check_tau(tau)
+    tau = check_tau(tau)
     v = complex(v)
-    tau = complex(tau)
     q = cmath.exp(2j * cmath.pi * tau)
     z = cmath.exp(2j * cmath.pi * v)
     sign, half = _BODY[kind]
@@ -252,8 +263,7 @@ def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
 
 def theta_prime0(tau, tol: float = 1e-12) -> complex:
     """d theta / dv at v = 0: 2 pi q^(1/8) c(q)^3."""
-    check_tau(tau)
-    tau = complex(tau)
+    tau = check_tau(tau)
     q = cmath.exp(2j * cmath.pi * tau)
     return 2.0 * cmath.pi * cmath.exp(2j * cmath.pi * tau / 8.0) * euler_eval(q, tol) ** 3
 

@@ -142,6 +142,11 @@ _MALFORMED = {
         ["equivariant", "lefschetz", "--t", "0.2", "--tau", "0.01j", "--model"],
         get("free_point").to_json()["model"],
     ),
+    # q^(1/8) underflows near Im tau = 900
+    "tau_above_ceiling": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "950j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
     "lefschetz_tau_below_axis": (
         ["equivariant", "lefschetz", "--t", "0.2", "--tau=-0.1j", "--model"],
         get("free_point").to_json()["model"],
@@ -452,6 +457,21 @@ def test_equivariant_exact_series(free_split_file):
     assert series["den"] == get("free_split_point").expected["den"]
     rows = dict((expo, row) for expo, row in series["num"])
     assert rows["1/2"] == get("free_split_point").expected["variant_rows"]["G1"]["1/2"]
+
+
+def test_exact_report_prints_exponents_ascending(capsys, tmp_path):
+    # the printed report is not key-sorted, so the series keeps its own order
+    model = _split_speed(3)
+    model["components"].append(dict(model["components"][0], orientation=-1,
+                                    moving_fperp=[{"rank": 1, "n": -2}]))
+    path = write_model(tmp_path, "two_points", model)
+    assert main(["equivariant", "G", "--model", path, "--exact", "--order", "6"]) == 0
+    series = json.loads(capsys.readouterr().out)["results"]["series"]
+    polys = [series["den"]] + [row for _, row in series["num"]]
+    assert len(series["den"]) > 2 and any(len(p) > 2 for p in polys[1:])
+    for poly in polys:
+        keys = [int(e) for e in poly]
+        assert keys == sorted(keys), poly
 
 
 def test_order_belongs_to_exact_mode(free_point_file):

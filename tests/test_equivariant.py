@@ -230,17 +230,17 @@ def test_form_meta():
 
 def test_exact_series_algebra():
     one = QSeries.one(LAURENT, 5)
-    a = ExactSeries(one, LaurentZ.from_dict({1: 1, -1: -1}))
-    b = ExactSeries(one, LaurentZ.from_dict({-1: 1, 1: -1}))
+    a = ExactSeries(one, LaurentZ({1: 1, -1: -1}))
+    b = ExactSeries(one, LaurentZ({-1: 1, 1: -1}))
     assert (a + b).is_zero()
     assert (a - a).is_zero()
     # the same rational function with both sides multiplied by (w^2 - 1)
-    extra = LaurentZ.from_dict({2: 1, 0: -1})
-    scaled = ExactSeries(one * extra, extra * LaurentZ.from_dict({1: 1, -1: -1}))
+    extra = LaurentZ({2: 1, 0: -1})
+    scaled = ExactSeries(one * extra, extra * LaurentZ({1: 1, -1: -1}))
     assert a == scaled
     assert not a == b
     with pytest.raises(ZeroDivisionError):
-        ExactSeries(one, LaurentZ.from_dict({}))
+        ExactSeries(one, LaurentZ({}))
     with pytest.raises(SchemaError):
         ExactSeries(QSeries.one(RATIONAL, 5), LaurentZ.monomial(0))
 
@@ -437,7 +437,8 @@ def test_component_rows_sum_as_the_exact_series_fold():
             assert (got.num.offset, got.num.order) == (want.num.offset, want.num.order)
             assert got.num.coeffs == want.num.coeffs, (function, model.to_json(), order)
             assert got.den == want.den
-            fractional.add(any(c.denominator > 1 for lz in got.num.coeffs for c in lz.coeffs))
+            fractional.add(any(c.denominator > 1
+                               for lz in got.num.coeffs for c in lz.terms.values()))
     assert steps == {(f, equal) for f in ("H", "G", "G1", "G2") for equal in (True, False)}
     assert True in fractional
 
@@ -563,8 +564,10 @@ def test_dual_path_agreement():
         (free_split_model(), "G1"),
         (free_split_model(), "G2"),
     ]
+    # |Re tau| > 1/2, where a principal-branch q^(1/2) would swap G1 and G2
+    far = [(0.1 + 0.02j, 0.7 + 1j), (0.1 + 0.02j, 1.3 + 1j), (0.1 + 0.02j, -0.7 + 0.8j)]
     for model, function in cases:
-        for t, tau in SAMPLES:
+        for t, tau in SAMPLES + far:
             a = (h_eval if function == "H" else
                  lambda mo, tt, tu: g_eval(mo, function, tt, tu))(model, t, tau)
             b = lefschetz_eval(model, t, tau, function)
@@ -578,6 +581,15 @@ def test_exact_vs_numeric_on_split_point():
         exact = g_series(model, variant, 40).eval(t, tau)
         numeric = g_eval(model, variant, t, tau)
         assert abs(exact - numeric) < 1e-11
+
+
+def test_values_far_along_the_real_tau_axis():
+    # tau -> tau + 8 leaves every q-power unchanged, also where 2 pi tau loses its phase
+    model = free_point_model()
+    base = h_eval(model, 0.1, 1j)
+    for n in (1e12, 1e16, 1e308):
+        assert abs(h_eval(model, 0.1, n + 1j) - base) < 1e-12, n
+        assert abs(lefschetz_eval(model, 0.1, n + 1j) - base) < 1e-12, n
 
 
 def test_variant_half_sign_flip():

@@ -9,12 +9,13 @@ from genusforge.errors import (
     GridError,
     NonUnitError,
     RingMismatchError,
+    SchemaError,
     TruncationError,
 )
-from genusforge.rings import LAURENT, RATIONAL, LaurentZ
+from genusforge.rings import LAURENT, RATIONAL, LaurentZ, laurent_add, laurent_mul
 from genusforge.series import QSeries
 
-from oracles import dexp, dinv, dlog, dmul, dproduct
+from oracles import dexp, dinv, dlog, dmul, dproduct, wadd, wmul
 
 HALF = Fraction(1, 2)
 
@@ -192,10 +193,73 @@ def test_inv_zero_series_fails():
 
 
 def test_inv_nonunit_laurent_lead_fails():
-    two_terms = LaurentZ(0, (Fraction(1), Fraction(1)))
+    two_terms = LaurentZ({0: 1, 1: 1})
     s = QSeries.from_terms(LAURENT, {0: two_terms}, 4)
     with pytest.raises(NonUnitError):
         s.inv()
+
+
+# -- Laurent coefficients ---------------------------------------------------
+
+
+def random_laurent(rng):
+    """A sparse {exponent: coefficient} map in scrambled key order, zeros included."""
+    keys = rng.sample(range(-9, 10), rng.randint(0, 6))
+    return {e: rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+            for e in keys}
+
+
+def test_laurent_terms_are_ascending_and_zero_free():
+    lz = LaurentZ({5: 2, -3: Fraction(1, 2), 0: 0, 1: -1, -7: Fraction(4, 2)})
+    assert list(lz.items()) == [(-7, 2), (-3, Fraction(1, 2)), (1, -1), (5, 2)]
+    assert not LaurentZ({2: 0, -1: Fraction(0)})
+    assert (lz * LaurentZ({4: 1, -4: 1})).terms == {-11: 2, -7: Fraction(1, 2), -3: 1,
+                                                    1: Fraction(5, 2), 5: -1, 9: 2}
+    assert [e for e, _ in (lz + LaurentZ({-20: 1, 20: 1, 1: 1})).items()] == [-20, -7, -3, 5, 20]
+    assert [e for e, _ in lz.subst_pow(-2).items()] == [-10, -2, 6, 14]
+    rng = random.Random(1618)
+    for _ in range(40):
+        exps = [e for e, _ in LaurentZ(random_laurent(rng)).items()]
+        assert exps == sorted(exps)
+
+
+def test_laurent_int_and_fraction_coefficients_are_one_polynomial():
+    a = LaurentZ({-2: 3, 4: 1})
+    b = LaurentZ({4: Fraction(1), -2: Fraction(6, 2)})
+    assert a == b and hash(a) == hash(b)
+    assert LaurentZ._trusted({4: 1, -2: 3}) == b
+    assert hash(LaurentZ._trusted({4: Fraction(1), -2: 3})) == hash(a)
+    assert LaurentZ({0: Fraction(5)}) == 5
+    assert hash(LaurentZ.monomial(0, 4)) == hash(a.subst_pow(0))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (1.5, RingMismatchError), (1.0, RingMismatchError), (None, RingMismatchError),
+    (True, SchemaError), (False, SchemaError),
+])
+def test_laurent_refuses_inexact_coefficients(bad, error):
+    with pytest.raises(error):
+        LaurentZ({0: 1, 3: bad})
+    with pytest.raises(error):
+        LaurentZ.monomial(2, bad)
+    with pytest.raises(error):
+        LAURENT.coerce(bad)
+
+
+def test_laurent_product_and_sum_match_dict_oracle():
+    rng = random.Random(2718)
+    for _ in range(60):
+        a, b = random_laurent(rng), random_laurent(rng)
+        want_mul = wmul(a, b)
+        want_add = wadd(a, b)
+        assert laurent_mul({e: c for e, c in a.items() if c},
+                           {e: c for e, c in b.items() if c}) == want_mul
+        assert laurent_add({e: c for e, c in a.items() if c},
+                           {e: c for e, c in b.items() if c}) == want_add
+        assert LaurentZ(a) * LaurentZ(b) == LaurentZ(want_mul)
+        assert LaurentZ(a) + LaurentZ(b) == LaurentZ(want_add)
+        assert (LaurentZ(a) - LaurentZ(b)).terms == wadd(a, {e: -c for e, c in b.items()})
+        assert list((LaurentZ(a) * LaurentZ(b)).terms) == sorted(want_mul)
 
 
 # -- exp and log ------------------------------------------------------------
