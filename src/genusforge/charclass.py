@@ -7,10 +7,10 @@ are written in the p_i by the Newton identities (bundle_power_sums), with
 a bundle's pair cap imposed on the p_i alone.
 
 power_sum_exp is the one expansion of an exponential of a form linear in
-the s_k, monomial by monomial, and exp_slots sums it per q-slot.  A
-multiplicative sequence is exp(sum_k c_k s_k) with c_k the moments of
-log of its factor series; the K-theory towers and the genus pairings
-expand their own linear forms the same way.
+the s_k, monomial by monomial; mono_rows sums it per monomial and
+graded_slots per q-slot.  A multiplicative sequence is exp(sum_k c_k s_k)
+with c_k the moments of log of its factor series; the K-theory towers
+and the genus pairings expand their own linear forms the same way.
 
 The expansion has a symbolic half and a numeric one.  The symbolic half,
 exp_walk, depends only on the degree and the (bundle, k) of the s_k: it
@@ -19,8 +19,10 @@ product s^lambda.  It is built once per key and kept in a bounded cache,
 as are the factor series, their log moments and the Newton power sums;
 the walk and the factor series are tuples, and bundle_power_sums returns
 fresh copies, so no caller can change what is cached.  The numeric
-half runs on every call: it convolves the integer series rows along the
-walk, one convolution per multiset, each from the row of its prefix.
+half convolves the integer series rows along the walk, one convolution
+per multiset, each from the row of its prefix.  For the exact towers and
+genera it runs once per key of ktheory.tower_rows, which keeps its
+result; genus_sequence and the values at one q run it on every call.
 Nothing is built at import.
 
 Roots are normalized so that no 2*pi*i factors appear anywhere: every
@@ -620,11 +622,11 @@ def power_sum_exp(logs, order: int, top: int, exact: bool = False):
     return walk.monos, parts
 
 
-def mono_rows(parts, order: int):
+def mono_rows(monos, parts, order: int):
     """Sum the parts of power_sum_exp per monomial over one integer denominator.
 
-    Returns ({mono index: row}, den), in the order the monomials first
-    occur in parts.
+    Takes power_sum_exp's (monos, parts) and returns (((mono, row), ...),
+    den), in the order the monomials first occur in parts.
     """
     den = math.lcm(*(d for _, d, _ in parts))
     totals = {}
@@ -638,17 +640,14 @@ def mono_rows(parts, order: int):
                 totals[idx] = [c * v for v in row]
             else:
                 totals[idx] = [a + c * v for a, v in zip(t, row)]
-    return totals, den
+    return tuple((monos[idx], row) for idx, row in totals.items()), den
 
 
-def exp_slots(logs, order: int, top: int) -> list:
-    """power_sum_exp(logs, order, top) summed into one GradedPoly per slot."""
-    monos, parts = power_sum_exp(logs, order, top)
-    totals, den = mono_rows(parts, order)
+def graded_slots(rows, den: int, order: int, top: int) -> list:
+    """One fresh GradedPoly per slot n < order: sum row[n] / den * mono over (mono, row)."""
     slots = [{} for _ in range(order)]
-    for idx, row in totals.items():
-        mono = monos[idx]
-        for n, v in enumerate(row):
+    for mono, row in rows:
+        for n, v in zip(range(order), row):
             if v:
                 slots[n][mono] = Fraction(v, den)
     return [GradedPoly._trusted(slot, top) for slot in slots]
@@ -668,7 +667,8 @@ def genus_sequence(factor, top_degree: int, bundle=None, pairs=None) -> GradedPo
     roots = BundleRoots(top_degree // 4 if pairs is None else pairs, bundle)
     logs = [(roots, k, [c.numerator], c.denominator)
             for k, c in enumerate(moments[1:top_degree // 4 + 1], 1)]
-    return exp_slots(logs, 1, top_degree)[0]
+    rows, den = mono_rows(*power_sum_exp(logs, 1, top_degree), 1)
+    return graded_slots(rows, den, 1, top_degree)[0]
 
 
 # ---------------------------------------------------------------------------

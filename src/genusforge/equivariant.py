@@ -69,8 +69,9 @@ from genusforge.theta import (
 )
 
 POLE_TOL = 1e-8
-# bound on pi Im(s t)^2 / Im(tau), see check_poles
+# bounds on pi Im(s t)^2 / Im(tau) and on |Im(s t)|, see check_poles
 GROWTH_BOUND = 690.0
+IM_ST_BOUND = 112.0
 
 # moving-Fperp theta kind and static Fperp twist tower per variant; the
 # doubled G line absorbs the value 2 of the cos factor of theta1 at 0
@@ -560,6 +561,15 @@ def check_poles(model: EquivariantModel, t, tau):
     GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and an
     s t past double range.  Im(s t)^2 is taken as a product, so a huge
     Im(s t) reads as past the bound, not as an overflow.
+
+    A large Im(tau) admits a large Im(s t) under that bound, but the
+    theta factors form e^(2 pi i s t) on its own, which leaves double
+    range near |Im(s t)| = 709.78 / (2 pi) = 112.97.  Against mpmath
+    references (bench/refs.py) H, G, G1 and G2 on the quotient and the
+    Lefschetz paths stayed within 2e-13 of the reference, relative to
+    its modulus, through |Im(s t)| = 112.9 (Im(tau) set for growth 300
+    and 600), and raised OverflowError or ValueError from 113 on.  Points
+    past IM_ST_BOUND = 112 are a SchemaError.
     """
     tauc = check_tau(tau)
     tc = complex(t)
@@ -574,6 +584,11 @@ def check_poles(model: EquivariantModel, t, tau):
             raise SchemaError(
                 f"speed {s} puts pi Im(s t)^2 / Im(tau) = {growth:.4g} past the bound "
                 f"{GROWTH_BOUND:g} of double-precision theta products"
+            )
+        if abs(x.imag) > IM_ST_BOUND:
+            raise SchemaError(
+                f"speed {s} puts |Im(s t)| = {abs(x.imag):.4g} past the bound "
+                f"{IM_ST_BOUND:g} of double-precision theta factors"
             )
         y = x - round(x.imag / tauc.imag) * tauc
         if abs(y - round(y.real)) < POLE_TOL:

@@ -21,7 +21,12 @@ fixed-point genus functions.
 The symbolic half of that pairing, the multisets lambda and the
 p-expansions of s^lambda, is charclass.exp_walk's: built once per
 (dim, splitting) and shared by every order, variant, tau and numbers
-table.  A call only folds the rows along it and reads the numbers.
+table.  The rational q-series that multiplies each number depends on the
+dimension, the splitting and the towers alone, so ktheory.tower_rows
+keeps it per (dim, splitting, towers) and every order reads a prefix of
+it.  An exact genus call only reads the numbers whose rows are nonzero
+within its order and sums the rows; split_genus_value folds its one-slot
+rows along the walk at every tau.
 subdirac_index pairs a series twist through the top degree alone: the
 base class Ahat(F) L(Fperp) is cached per (dim, p, r), and per slot only
 the products of degree dim are formed.  index_density still builds the
@@ -43,14 +48,11 @@ from genusforge.charclass import (
     GradedRing,
     _mono_degree,
     _mono_mul,
-    factor_moments,
     genus_sequence,
-    mono_rows,
     pair_fundamental,
-    power_sum_exp,
 )
 from genusforge.errors import SchemaError
-from genusforge.ktheory import ch_denominator, tower_log, tower_values
+from genusforge.ktheory import power_rows, tower_rows, tower_values
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
 from genusforge.theta import reduced_tau
@@ -301,46 +303,40 @@ def l_genus(numbers: CharNumbers) -> Fraction:
     return pair_fundamental(poly, numbers)
 
 
-def _paired_towers(numbers: CharNumbers, order: int, towers):
-    """<prod over (bundle, factor, rows) of genus(factor) ch(tower), [M]>.
+def _entries(towers) -> tuple:
+    """ktheory.tower_rows entries of (BundleRoots, genus factor, tower name) triples.
 
-    factor is a genus factor as charclass.factor_moments takes it, and
-    rows are a tower's Lambert rows h_1 .. h_(dim//4) over `order` slots:
-    ktheory.tower_log rows for an exact series, or one slot holding the
-    ktheory.tower_values numbers for a value at one q.  Returns the paired
-    row and its integer denominator.  The per-slot coefficient of every
-    top-degree p-monomial is combined first, and a number is read only
-    when that coefficient is nonzero in some slot, so a missing number
-    raises exactly when the density needs it.
+    A named factor is kept as it is and a factor sequence becomes a tuple,
+    so every factor takes the memoized path.
     """
-    top = numbers.dim
-    logs = []
-    for bundle, factor, rows in towers:
-        moments = factor_moments(factor, top)
-        for k, h in enumerate(rows, 1):
-            # L_k = c_k + h_k / ((2k)!/2) over one integer denominator
-            c, cden = moments[k], ch_denominator(k)
-            den = math.lcm(cden, c.denominator)
-            row = [v * (den // cden) for v in h]
-            if row:
-                row[0] += c.numerator * (den // c.denominator)
-            logs.append((bundle, k, row, den))
-    monos, parts = power_sum_exp(logs, order, top, exact=True)
-    totals, den = mono_rows(parts, order)
-    paired = [(numbers[monos[idx]], row) for idx, row in totals.items() if any(row)]
+    return tuple((bundle.pair_count, bundle.name,
+                  factor if isinstance(factor, str) else tuple(factor), tower, 1)
+                 for bundle, factor, tower in towers)
+
+
+def _paired(numbers: CharNumbers, order: int, rows, den: int):
+    """sum over (mono, row) of <mono, [M]> row[:order] / den, as (row, integer den).
+
+    rows are ktheory.power_rows's.  A number is read only when its
+    monomial's row is nonzero in one of the first `order` slots, so a
+    missing number raises exactly when the density needs it.
+    """
+    paired = [(numbers[mono], row) for mono, row in rows if any(row[:order])]
     total, nden = _row_sum(paired, order)
     return total, nden * den
 
 
 def _paired_series(numbers: CharNumbers, order: int, towers) -> QSeries:
-    """_paired_towers over the tower_log rows of the named towers, as rationals.
+    """<prod over towers of genus(factor) ch(tower), [M]> as a q-series of rationals.
 
-    towers lists (BundleRoots, genus factor, tower name).
+    towers lists (BundleRoots, genus factor, tower name); the factor is a
+    genus factor as charclass.factor_moments takes it.  The rows come
+    from ktheory.tower_rows, built once per splitting; only the pairing
+    runs here.
     """
-    rows = [(bundle, factor, tower_log(tower, order, numbers.dim))
-            for bundle, factor, tower in towers]
-    vals, den = _paired_towers(numbers, order, rows)
-    return QSeries(RATIONAL, 0, [Fraction(v, den) for v in vals], order)
+    rows, den = tower_rows(numbers.dim, True, _entries(towers), order)
+    total, den = _paired(numbers, order, rows, den)
+    return QSeries(RATIONAL, 0, [Fraction(v, den) for v in total], order)
 
 
 def _row_sum(terms, order: int):
@@ -387,7 +383,8 @@ def split_genus_value(spec: SplitManifoldSpec, variant: str, tau, tol: float) ->
     (ktheory.tower_values), and the pairing is split_genus's with one slot.
     """
     x = cmath.exp(1j * math.pi * reduced_tau(tau))
-    rows = [(bundle, factor, [[v] for v in tower_values(tower, x, spec.dim, tol)])
-            for bundle, factor, tower in _split_towers(spec, variant)]
-    (value,), den = _paired_towers(spec.numbers, 1, rows)
+    entries = _entries(_split_towers(spec, variant))
+    values = [[[v] for v in tower_values(entry[3], x, spec.dim, tol)] for entry in entries]
+    rows, den = power_rows(spec.dim, True, entries, values, 1)
+    (value,), den = _paired(spec.numbers, 1, rows, den)
     return value / den

@@ -18,6 +18,9 @@ q-part of the Eisenstein series G_2k.  Towers are expanded from that
 closed form by charclass.power_sum_exp: exp of a sum linear in the s_k is
 a sum over the monomials in the s_k of products of rational q-series;
 tower_values sums the same rows at one q, every factor in closed form.
+Those products do not depend on any characteristic number: tower_rows
+keeps them summed per monomial in one bounded memo per (degree, bundles,
+factors, towers), and a call at any order reads a prefix of them.
 sym_total and lambda_total keep the per-factor recursion (an exp over
 GradedPoly coefficients), which the tests use as the independent referee.
 """
@@ -25,6 +28,7 @@ GradedPoly coefficients), which the tests use as the independent referee.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from fractions import Fraction
 
 from genusforge.charclass import (
@@ -32,7 +36,10 @@ from genusforge.charclass import (
     GradedPoly,
     GradedRing,
     bundle_power_sums,
-    exp_slots,
+    factor_moments,
+    graded_slots,
+    mono_rows,
+    power_sum_exp,
 )
 from genusforge.errors import DimensionError
 from genusforge.series import STEP, QSeries
@@ -317,12 +324,80 @@ def ch_denominator(k: int) -> int:
     return math.factorial(2 * k) // 2
 
 
+def power_rows(top: int, exact: bool, entries, rows, order: int):
+    """prod over the entries of (genus(factor) ch(tower))^mult, per p-monomial.
+
+    entries are (pair_count, bundle name, factor, tower, mult): factor is
+    a genus factor as charclass.factor_moments takes it, or None for the
+    tower alone.  rows[i] are entry i's Lambert rows h_1 .. h_(top//4)
+    over `order` slots: tower_log rows, or one slot of tower_values
+    numbers.  Per bundle the log is mult (c_k + h_k / ((2k)!/2)) s_k, c_k
+    the factor's moments, over one integer denominator; power_sum_exp
+    expands its exp, in degree top alone when exact.  Returns
+    (((mono, row), ...), den): slot n of the product is
+    sum row[n] / den * mono.
+    """
+    logs = []
+    for (pairs, name, factor, _, mult), hs in zip(entries, rows):
+        bundle = BundleRoots(pairs, name)
+        moments = None if factor is None else factor_moments(factor, top)
+        for k, h in enumerate(hs, 1):
+            cden = ch_denominator(k)
+            c = Fraction(0) if moments is None else moments[k]
+            den = math.lcm(cden, c.denominator)
+            row = [mult * (den // cden) * v for v in h]
+            if row:
+                row[0] += mult * c.numerator * (den // c.denominator)
+            logs.append((bundle, k, row, den))
+    return mono_rows(*power_sum_exp(logs, order, top, exact), order)
+
+
+# The numbers-free rows of the exact towers, keyed by (top, exact, entries)
+# without the order: slot n of a tower_log row and of every truncated
+# convolution depends only on slots <= n, so the rows at order n are the
+# first n slots of the rows at any larger order.  A key is rebuilt when a
+# call asks for more slots than it holds and is sliced otherwise.  One
+# genus-towers run of the benchmark uses 100 keys.  At dim 24 and order 64
+# (the CLI caps) the largest single-bundle-per-block key, a split with
+# p = r = 6 and the R1 tower, holds 0.18 MB; the 88 distinct such keys hold
+# 7.2 MB, and a full memo of 128 of them 8.7 MB (tracemalloc, Python 3.11).
+_ROWS_CAP = 128
+_ROWS = OrderedDict()
+
+
+def tower_rows(top: int, exact: bool, entries: tuple, order: int):
+    """power_rows over the tower_log rows of the entries, memoized.
+
+    Returns (rows, den) as power_rows does, with every row a tuple of at
+    least `order` integers: read the first `order` of them.  The rows are
+    shared by every call, so they are tuples.
+    """
+    key = (top, exact, entries)
+    held = _ROWS.get(key)
+    if held is not None and held[0] >= order:
+        _ROWS.move_to_end(key)
+        return held[1:]
+    rows, den = power_rows(top, exact, entries,
+                           [tower_log(entry[3], order, top) for entry in entries], order)
+    held = _ROWS[key] = (order, tuple((mono, tuple(row)) for mono, row in rows), den)
+    _ROWS.move_to_end(key)
+    if len(_ROWS) > _ROWS_CAP:
+        _ROWS.popitem(last=False)
+    return held[1:]
+
+
 def _tower_series(E: KClass, tower: str, order: int) -> QSeries:
+    """ch of the tower on E - rank E over `order` slots.
+
+    The rows come from tower_rows, built once per (top, bundles, tower)
+    and sliced to the order; a call only builds fresh per-slot GradedPoly
+    coefficients from them.
+    """
     top = E.top
-    rows = tower_log(tower, order, top)
-    logs = [(bundle, k, [mult * v for v in h], ch_denominator(k))
-            for bundle, mult in E.parts for k, h in enumerate(rows, 1)]
-    return QSeries(GradedRing(top), 0, exp_slots(logs, order, top), order)
+    entries = tuple((bundle.pair_count, bundle.name, None, tower, mult)
+                    for bundle, mult in E.parts)
+    rows, den = tower_rows(top, False, entries, order)
+    return QSeries(GradedRing(top), 0, graded_slots(rows, den, order, top), order)
 
 
 def witten_element(E: KClass, order: int) -> QSeries:

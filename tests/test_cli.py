@@ -227,6 +227,15 @@ _MALFORMED = {
                         get("free_point").to_json()["model"]),
     "exact_t_nan": (["equivariant", "H", "--exact", "--t", "nan", "--tau", "1j", "--model"],
                     get("free_point").to_json()["model"]),
+    # Im tau admits these under the growth bound, but e^(2 pi i s t) leaves double range
+    "t_imag_past_factor_range": (
+        ["equivariant", "H", "--t", "0.1+140j", "--tau", "100j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
+    "t_imag_past_factor_cap": (
+        ["equivariant", "H", "--t", "0.1+115j", "--tau", "70j", "--model"],
+        get("free_point").to_json()["model"],
+    ),
     "speed_3_t_past_double_range": (
         ["equivariant", "H", "--t", "1e308", "--tau", "1j", "--model"],
         _bool_point(moving_f=[{"rank": 1, "m": 3}]),
@@ -433,6 +442,15 @@ def test_equivariant_numeric_matches_library(free_point_file):
     assert abs(complex(report["results"]["value"]) - want) < 1e-12
     assert report["results"]["meta"]["subgroup"] == "sl2z"
     assert report["results"]["anomaly"] == 1
+
+
+def test_large_imaginary_t_inside_the_bounds_still_evaluates(free_point_file):
+    code, report, _ = run(
+        ["equivariant", "H", "--model", free_point_file, "--t", "0.1+60j", "--tau", "20j"]
+    )
+    assert code == 0
+    want = h_eval(get("free_point").build(), 0.1 + 60j, 20j)
+    assert complex(report["results"]["value"]) == want
 
 
 def test_equivariant_lefschetz_agrees_with_quotient(free_split_file):

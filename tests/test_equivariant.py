@@ -680,3 +680,21 @@ def test_static_values_build_the_walk_once():
     info = exp_walk.cache_info()
     assert info.misses == 1
     assert info.hits == len(taus) * 4 - 1
+
+
+def test_imaginary_speed_past_the_factor_bound_is_a_schema_error():
+    # Im tau = 70 lets Im(s t) = 113 pass the growth bound (572 < 690), but
+    # e^(2 pi i s t) leaves double range there; 112 still evaluates
+    from genusforge.equivariant import IM_ST_BOUND
+
+    cases = [(free_point_model(), "H")] + [(free_split_model(), f) for f in ("G", "G1", "G2")]
+    for model, function in cases:
+        quotient = evaluator(model, function)
+        for fn in (quotient, lambda t, tau: lefschetz_eval(model, t, tau, function)):
+            for t in (0.1 + 112j, 0.37 - 112j):
+                assert cmath.isfinite(fn(t, 70j))
+            for t in (0.1 + 113j, 0.37 - 113j):
+                with pytest.raises(SchemaError, match=f"bound {IM_ST_BOUND:g} "):
+                    fn(t, 70j)
+    with pytest.raises(SchemaError, match="speed 2 puts"):
+        h_eval(EquivariantModel("foliated", 1, 0, 0, [point([2])]), 0.05 + 56.6j, 70j)

@@ -482,3 +482,95 @@ def test_missing_numbers_raise_only_when_some_slot_needs_them():
     assert list(got.coeffs) == [pair_fundamental(density, spec.numbers)]
     with pytest.raises(MissingNumberError):
         _paired_series(spec.numbers, 3, towers)
+
+
+# -- the memoized numbers-free rows ------------------------------------------
+
+
+def test_memoized_rows_match_the_cold_referee_in_any_order_sequence():
+    # every key is built at some order and then served, grown and sliced
+    # at orders in shuffled, descending and repeated sequences
+    from genusforge import ktheory
+
+    ktheory._ROWS.clear()
+    rng = random.Random(44)
+    sequences = ([5, 2, 7, 3], [7, 5, 3, 1], [4, 4, 2, 4])
+    keys = []
+    for dim in (4, 8, 12, 16):
+        cap = 7 if dim <= 8 else 4
+        numbers = CharNumbers(dim, _table(rng, tangent_keys(dim)))
+        keys.append(("witten", dim, numbers, None))
+        p = rng.randint(0, dim // 2)
+        spec = SplitManifoldSpec(dim, p, dim // 2 - p,
+                                 _table(rng, split_monomials(dim, p, dim // 2 - p)))
+        keys += [(variant, dim, spec.numbers, spec) for variant in ("R", "R1", "R2")]
+        for kind, _, numbers, spec in keys[-4:]:
+            orders = [min(order, cap) for order in rng.choice(sequences)]
+            for order in orders:
+                if kind == "witten":
+                    got = witten_genus(numbers, order)
+                    density = referee.witten_density(dim, order)
+                else:
+                    got = split_genus(spec, kind, order)
+                    density = referee.split_density(spec.F, spec.Fperp, kind, dim, order)
+                want = referee.paired(density, numbers)
+                assert (got.order, list(got.coeffs)) == (order, want), (kind, dim, order)
+    assert len(ktheory._ROWS) == len(keys)
+
+
+def test_a_raising_order_leaves_lower_orders_reading_no_extra_number():
+    # the order-3 pairing needs p1(F)^2 and raises; the rows it leaves in
+    # the memo still read nothing for it at order 1
+    from genusforge import ktheory
+    from genusforge.genus import _paired_series
+
+    ktheory._ROWS.clear()
+    rng = random.Random(43)
+    full = _table(rng, split_monomials(8, 2, 2))
+    spec = SplitManifoldSpec(8, 2, 2, _drop(full, "p1(F)^2"))
+    towers = ((spec.F, [1, 0, 1, 0, 0], "witten"), (spec.Fperp, "l", "R"))
+    with pytest.raises(MissingNumberError):
+        _paired_series(spec.numbers, 3, towers)
+    numbers = RecordingNumbers(8, {k: v for k, v in full.items() if k != "p1(F)^2"})
+    got = _paired_series(numbers, 1, towers)
+    assert parse_monomial("p1(F)^2") not in numbers.read
+    density = genus_sequence([1, 0, 1, 0, 0], 8, "F", 2) * l_poly(spec.Fperp, 8)
+    assert list(got.coeffs) == [pair_fundamental(density, spec.numbers)]
+
+
+def test_a_vanishing_coefficient_reads_no_number_in_descending_order():
+    # the cases of test_a_vanishing_coefficient_reads_no_number, served as
+    # prefixes of the order-5 rows
+    from genusforge import ktheory
+    from genusforge.genus import _paired_series
+
+    ktheory._ROWS.clear()
+    factor = [1, 0, 1, 0, 0]
+    tangent = BundleRoots(4, None)
+    base = genus_sequence(factor, 8, bundle=None, pairs=4)
+    for order in (5, 3, 2, 1):
+        density = referee.witten_tower(KClass.bundle(tangent, 8), order).map_coefficients(
+            lambda c: c * base)
+        assert_reads_like_referee(
+            density, 8, {"p2": Q(5), "p1^2": Q(-3)},
+            lambda nums: _paired_series(nums, order, ((tangent, factor, "witten"),)))
+    assert len(ktheory._ROWS) == 1
+
+
+def test_the_memo_is_bounded_and_least_recently_used():
+    from genusforge import ktheory
+
+    ktheory._ROWS.clear()
+    numbers = CharNumbers(4, {"p1": Q(3)})
+    first = witten_genus(numbers, 3)
+    # single-pair towers under fresh bundle names are distinct, cheap keys
+    for i in range(ktheory._ROWS_CAP + 5):
+        witten_element(KClass.bundle(BundleRoots(1, f"B{i}"), 4), 2)
+        assert len(ktheory._ROWS) <= ktheory._ROWS_CAP
+        if i % 16 == 0:
+            witten_genus(numbers, 2)  # a used key stays
+    assert len(ktheory._ROWS) == ktheory._ROWS_CAP
+    key = (4, True, ((2, None, "ahat", "witten", 1),))
+    assert key in ktheory._ROWS
+    assert all(type(row) is tuple for _, rows, _ in ktheory._ROWS.values() for _, row in rows)
+    assert list(witten_genus(numbers, 3).coeffs) == list(first.coeffs)

@@ -275,6 +275,38 @@ def test_twist_towers_match_factor_products():
                               referee.twist_tower(E, variant, order))
 
 
+def test_memoized_towers_match_the_referee_in_any_order_sequence():
+    # the rows of a key are built once and then grown or sliced: orders
+    # in shuffled, descending and repeated sequences, keys interleaved
+    from genusforge import ktheory
+
+    ktheory._ROWS.clear()
+    rng = random.Random(21)
+    cases = []
+    for top in (4, 8, 12, 16):
+        cap = 9 if top <= 8 else 5
+        bundle = BundleRoots(rng.randint(1, top // 2), rng.choice((None, "F")))
+        for kind in ("witten", "R", "R1", "R2"):
+            orders = rng.choice(([6, 2, 9, 4], [9, 7, 3, 1], [5, 5, 2, 5]))
+            cases += [(KClass.bundle(bundle, top), kind, min(o, cap)) for o in orders]
+    rng.shuffle(cases)
+    for E, kind, order in cases:
+        if kind == "witten":
+            assert_same_slots(witten_element(E, order), referee.witten_tower(E, order))
+        else:
+            assert_same_slots(r_variants(E, kind, order), referee.twist_tower(E, kind, order))
+
+
+def test_changing_a_returned_tower_leaves_the_next_one_unchanged():
+    E = KClass.bundle(BundleRoots(2, "F"), 8)
+    want = referee.witten_tower(E, 5)
+    got = witten_element(E, 5)
+    for c in got.coeffs:
+        c.terms.clear()
+    assert_same_slots(witten_element(E, 5), want)
+    assert_same_slots(witten_element(E, 3), referee.witten_tower(E, 3))
+
+
 def test_tower_log_is_the_eisenstein_lambert_series():
     # Witten: h_k = sum sigma_(2k-1)(n) q^n; R: twice the odd-divisor sums
     order = 25
