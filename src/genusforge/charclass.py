@@ -7,10 +7,11 @@ are written in the p_i by the Newton identities (bundle_power_sums), with
 a bundle's pair cap imposed on the p_i alone.
 
 power_sum_exp is the one expansion of an exponential of a form linear in
-the s_k, monomial by monomial; mono_rows sums it per monomial and
-graded_slots per q-slot.  A multiplicative sequence is exp(sum_k c_k s_k)
-with c_k the moments of log of its factor series; the K-theory towers
-and the genus pairings expand their own linear forms the same way.
+the s_k, summed per monomial over one integer denominator; graded_slots
+turns its rows into a GradedPoly per q-slot.  A multiplicative sequence
+is exp(sum_k c_k s_k) with c_k the moments of log of its factor series;
+the K-theory towers and the genus pairings expand their own linear forms
+the same way.
 
 The expansion has a symbolic half and a numeric one.  The symbolic half,
 exp_walk, depends only on the degree and the (bundle, k) of the s_k: it
@@ -22,7 +23,9 @@ fresh copies, so no caller can change what is cached.  The numeric
 half convolves the integer series rows along the walk, one convolution
 per multiset, each from the row of its prefix.  For the exact towers and
 genera it runs once per key of ktheory.tower_rows, which keeps its
-result; genus_sequence and the values at one q run it on every call.
+result; the values at one q run it on every call.  genus_sequence and
+pair_fundamental, the whole sequence as a GradedPoly and its pairing,
+are the referee of those pairings.
 Nothing is built at import.
 
 Roots are normalized so that no 2*pi*i factors appear anywhere: every
@@ -330,25 +333,6 @@ class GradedRing(CoefficientRing):
             return value
         return GradedPoly.constant(as_fraction(value), self.top)
 
-    def inv(self, x):
-        x = self.coerce(x)
-        c0 = x.constant_part()
-        if not c0:
-            raise ValueError("graded polynomial with zero constant term is not a unit")
-        # geometric series in the nilpotent part, finite by degree truncation
-        nil = x - c0
-        out = GradedPoly.constant(1 / c0, self.top)
-        if not nil:
-            return out
-        power = GradedPoly.constant(1, self.top)
-        acc = out
-        for k in range(1, self.top // 4 + 1):
-            power = power * nil
-            if not power:
-                break
-            acc = acc + power * ((-1) ** k * (1 / c0) ** (k + 1))
-        return acc
-
     def div_int(self, x, n):
         return x * Fraction(1, n)
 
@@ -585,18 +569,18 @@ def power_sum_exp(logs, order: int, top: int, exact: bool = False):
     logs holds (bundle_v, k_v, row_v, den_v): the power sum s_k of a
     BundleRoots, of degree 4 k, and the truncated series L_v = row_v / den_v
     with integer row_v, or with a one-slot row_v holding the value of L_v
-    at one q.  Returns (monos, parts).  parts has a (row, den, terms) for
-    every multiset {v^m_v} of total degree at most top (exactly top when
-    exact) whose series does not vanish: row / den = prod L_v^m_v / m_v!,
-    and terms are the (index into monos, integer coefficient) pairs of the
-    p-expansion of prod s_(k_v)^m_v.
+    at one q.  Every multiset {v^m_v} of total degree at most top (exactly
+    top when exact) contributes prod L_v^m_v / m_v! times the p-expansion
+    of prod s_(k_v)^m_v.  Returns (((mono, row), ...), den), summed per
+    p-monomial over one integer denominator in the order the monomials
+    first occur: slot n of the exponential is sum row[n] / den * mono.
 
     The symbolic half, the multisets and their expansions, is the cached
     exp_walk of the entries; only the series are convolved here, once per
     multiset, each from the series of its prefix.
     """
     if exact and top % 4:
-        return (), []
+        return (), 1
     logs = [entry for entry in logs if entry[0].pair_count and any(entry[2])]
     walk = exp_walk(top, exact, tuple((bundle, k) for bundle, k, _, _ in logs))
     parts = []
@@ -619,28 +603,18 @@ def power_sum_exp(logs, order: int, top: int, exact: bool = False):
         if terms is not None:
             parts.append((row, den, terms))
         i += 1
-    return walk.monos, parts
-
-
-def mono_rows(monos, parts, order: int):
-    """Sum the parts of power_sum_exp per monomial over one integer denominator.
-
-    Takes power_sum_exp's (monos, parts) and returns (((mono, row), ...),
-    den), in the order the monomials first occur in parts.
-    """
     den = math.lcm(*(d for _, d, _ in parts))
     totals = {}
     for row, d, terms in parts:
         if d != den:
-            scale = den // d
-            row = [scale * v for v in row]
+            row = [den // d * v for v in row]
         for idx, c in terms:
             t = totals.get(idx)
             if t is None:
                 totals[idx] = [c * v for v in row]
             else:
                 totals[idx] = [a + c * v for a, v in zip(t, row)]
-    return tuple((monos[idx], row) for idx, row in totals.items()), den
+    return tuple((walk.monos[idx], row) for idx, row in totals.items()), den
 
 
 def graded_slots(rows, den: int, order: int, top: int) -> list:
@@ -667,7 +641,7 @@ def genus_sequence(factor, top_degree: int, bundle=None, pairs=None) -> GradedPo
     roots = BundleRoots(top_degree // 4 if pairs is None else pairs, bundle)
     logs = [(roots, k, [c.numerator], c.denominator)
             for k, c in enumerate(moments[1:top_degree // 4 + 1], 1)]
-    rows, den = mono_rows(*power_sum_exp(logs, 1, top_degree), 1)
+    rows, den = power_sum_exp(logs, 1, top_degree)
     return graded_slots(rows, den, 1, top_degree)[0]
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 from genusforge.charclass import CharNumbers
@@ -609,17 +610,29 @@ def _v_eval(variant, n, t, tau, tol) -> complex:
 
 
 def _sum_values(model, variant, t, tau, tol, w_factor, v_factor):
-    """Sum over components of orientation x static value x moving factors."""
+    """Sum over components of orientation x static value x moving factors.
+
+    check_poles bounds each factor, not their product, which leaves double
+    range from a total moving rank of 64 on: such a value is a SchemaError.
+    """
     check_poles(model, t, tau)
     total = 0j
     for comp in model.components:
         _check_root_free(comp)
         val = comp.orientation * _static_value(comp, variant, tau, tol)
-        for rank, m in comp.moving_f:
-            val *= w_factor(m, t, tau, tol) ** rank
-        for rank, n in comp.moving_fperp:
-            val *= v_factor(variant, n, t, tau, tol) ** rank
+        try:
+            for rank, m in comp.moving_f:
+                val *= w_factor(m, t, tau, tol) ** rank
+            for rank, n in comp.moving_fperp:
+                val *= v_factor(variant, n, t, tau, tol) ** rank
+        except OverflowError:
+            val = math.inf
         total += val
+    if not cmath.isfinite(total):
+        raise SchemaError(
+            f"the value at t = {complex(t)}, tau = {complex(tau)} is past the double-range "
+            f"bound {sys.float_info.max:.4g}"
+        )
     return total
 
 

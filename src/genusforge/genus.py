@@ -9,7 +9,8 @@ paired against the fundamental class coefficient by coefficient; the
 Witten genus and the three twisted genera are specializations with psi
 the Witten element of F and phi one of the twist towers of Fperp.
 
-Those genera are paired from the power-sum closed form.  Per bundle the
+Those genera, and the classical Ahat and L genera (a genus factor with
+no tower), are paired from the power-sum closed form.  Per bundle the
 log of genus factor times tower is linear in the power sums,
 sum_k (c_k + 2 h_k(q) / (2k)!) s_k, with c_k the moments of the factor
 series and h_k the tower's Lambert rows.  The pairing reads only the top
@@ -22,15 +23,16 @@ The symbolic half of that pairing, the multisets lambda and the
 p-expansions of s^lambda, is charclass.exp_walk's: built once per
 (dim, splitting) and shared by every order, variant, tau and numbers
 table.  The rational q-series that multiplies each number depends on the
-dimension, the splitting and the towers alone, so ktheory.tower_rows
-keeps it per (dim, splitting, towers) and every order reads a prefix of
-it.  An exact genus call only reads the numbers whose rows are nonzero
-within its order and sums the rows; split_genus_value folds its one-slot
-rows along the walk at every tau.
+dimension, the splitting and the towers alone: ktheory.power_rows builds
+it, and ktheory.tower_rows keeps it per (dim, splitting, towers) for
+every order to read a prefix of; split_genus_value folds one-slot rows
+at every tau.  Every pairing reads only the numbers whose rows are
+nonzero within its order, through _paired, and sums the rows.
 subdirac_index pairs a series twist through the top degree alone: the
-base class Ahat(F) L(Fperp) is cached per (dim, p, r), and per slot only
-the products of degree dim are formed.  index_density still builds the
-whole density and is the referee of that shortcut.
+base class Ahat(F) L(Fperp) is power_rows' with no tower, cached per
+(dim, p, r), and per slot only the products of degree dim are formed.
+index_density still builds the whole density from ahat_poly and l_poly
+(charclass.genus_sequence), the referee of these pairings.
 """
 
 from __future__ import annotations
@@ -49,10 +51,9 @@ from genusforge.charclass import (
     _mono_degree,
     _mono_mul,
     genus_sequence,
-    pair_fundamental,
 )
 from genusforge.errors import SchemaError
-from genusforge.ktheory import power_rows, tower_rows, tower_values
+from genusforge.ktheory import power_rows, tower_log, tower_rows, tower_values
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
 from genusforge.theta import reduced_tau
@@ -145,34 +146,29 @@ class SplitManifoldSpec:
         )
 
 
-def _as_density_factor(value, top):
-    """Normalize a twist argument: None, GradedPoly, or QSeries of them."""
-    if value is None:
-        return None
-    if isinstance(value, GradedPoly):
-        if value.top != top:
-            raise SchemaError(f"degree-{value.top} class in a degree-{top} density")
-        return value
-    if isinstance(value, QSeries):
-        if value.ring != GradedRing(top):
-            raise SchemaError("density series must have graded coefficients at the right degree")
-        return value
-    raise SchemaError(f"cannot use {type(value).__name__} as a density factor")
+def _twists(psi, phi, top):
+    """(static, series): the products of the GradedPoly and of the QSeries twists.
+
+    Either is None when no twist of its kind is given.
+    """
+    static = series = None
+    for value in (psi, phi):
+        if isinstance(value, GradedPoly) and value.top == top:
+            static = value if static is None else static * value
+        elif isinstance(value, QSeries) and value.ring == GradedRing(top):
+            series = value if series is None else series * value
+        elif value is not None:
+            raise SchemaError(f"cannot use this {type(value).__name__} as a twist of a "
+                              f"degree-{top} density")
+    return static, series
 
 
 def index_density(spec: SplitManifoldSpec, psi=None, phi=None):
     """Ahat(F) ch(psi) L(Fperp) ch(phi); GradedPoly when both twists are static."""
     top = spec.dim
+    static, series = _twists(psi, phi, top)
     base = ahat_poly(spec.F, top) * l_poly(spec.Fperp, top)
-    series = None
-    for value in (psi, phi):
-        value = _as_density_factor(value, top)
-        if value is None:
-            continue
-        if isinstance(value, GradedPoly):
-            base = base * value
-        else:
-            series = value if series is None else series * value
+    base = base if static is None else base * static
     if series is None:
         return base
     return series.map_coefficients(lambda c: c * base)
@@ -199,22 +195,24 @@ def _integrality(values, guaranteed: bool, label: str):
 class _TopPairing:
     """The base class Ahat(F) L(Fperp) of a splitting, set up for pairing.
 
-    The base is kept by degree over one integer denominator.  products(m1)
-    lists the monomials m1 * m2 of degree dim, with m2 a base monomial,
-    as (m1 * m2, integer coefficient of m2), memoized per m1.  A pairing
-    that finds more than _PRODUCTS_CAP m1 known starts the memo afresh, so
-    it stays bounded whatever symbols the twists use.
+    The base is kept by degree as ktheory.power_rows gives it, integer
+    coefficients over one denominator.  products(m1) lists the monomials
+    m1 * m2 of degree dim, with m2 a base monomial, as (m1 * m2, integer
+    coefficient of m2), memoized per m1.  A pairing that finds more than
+    _PRODUCTS_CAP m1 known starts the memo afresh, so it stays bounded
+    whatever symbols the twists use.
     """
 
     __slots__ = ("dim", "den", "by_degree", "memo")
 
-    def __init__(self, base: GradedPoly):
-        self.dim = base.top
-        self.den = math.lcm(*(c.denominator for c in base.terms.values()))
+    def __init__(self, dim: int, p: int, r: int):
+        entries = ((p, "F", "ahat", None, 1), (r, "Fperp", "l", None, 1))
+        rows, self.den = power_rows(dim, False, entries, [tower_log(None, 1, dim)] * 2, 1)
+        self.dim = dim
         self.by_degree = {}
-        for mono, c in base.terms.items():
-            self.by_degree.setdefault(_mono_degree(mono), []).append(
-                (mono, c.numerator * (self.den // c.denominator)))
+        for mono, (c,) in rows:
+            if c:
+                self.by_degree.setdefault(_mono_degree(mono), []).append((mono, c))
         self.memo = {}
 
     def products(self, m1) -> tuple:
@@ -229,8 +227,7 @@ class _TopPairing:
         """<c Ahat(F) L(Fperp), [M]> for every GradedPoly c of slots.
 
         Only the products of degree dim are formed, collected per monomial
-        across the slots; a number is read only when its monomial's row is
-        nonzero in some slot, as pair_fundamental reads it per slot.
+        across the slots, and paired by _paired.
         """
         if len(self.memo) > _PRODUCTS_CAP:
             self.memo = {}
@@ -245,17 +242,14 @@ class _TopPairing:
                     if row is None:
                         row = acc[mono] = [0] * len(slots)
                     row[n] += a1 * a2
-        paired = [(numbers[mono], row) for mono, row in acc.items() if any(row)]
-        total, den = _row_sum(paired, len(slots))
-        return [Fraction(t, den * sden * self.den) for t, sden in zip(total, slot_dens)]
+        total, den = _paired(numbers, len(slots), acc.items(), self.den)
+        return [Fraction(t, den * sden) for t, sden in zip(total, slot_dens)]
 
 
 _PRODUCTS_CAP = 4096
 
 
-@functools.lru_cache(maxsize=128)
-def _base_pairing(dim: int, p: int, r: int) -> _TopPairing:
-    return _TopPairing(ahat_poly(BundleRoots(p, "F"), dim) * l_poly(BundleRoots(r, "Fperp"), dim))
+_base_pairing = functools.lru_cache(maxsize=128)(_TopPairing)
 
 
 def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
@@ -269,13 +263,7 @@ def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
     cached per (dim, p, r) and only its top-degree products are formed.
     """
     top = spec.dim
-    static = series = None
-    for value in (psi, phi):
-        value = _as_density_factor(value, top)
-        if isinstance(value, GradedPoly):
-            static = value if static is None else static * value
-        elif value is not None:
-            series = value if series is None else series * value
+    static, series = _twists(psi, phi, top)
     guaranteed = spec.F_spin or (spec.r == 0 and spec.M_spin)
     pairing = _base_pairing(top, spec.p, spec.r)
     if series is None:
@@ -291,16 +279,17 @@ def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
 
 def ahat_genus(numbers: CharNumbers) -> Fraction:
     """<Ahat(TM), [M]> for untagged Pontryagin numbers."""
-    dim = numbers.dim
-    poly = genus_sequence("ahat", dim, bundle=None, pairs=dim // 2)
-    return pair_fundamental(poly, numbers)
+    return _classical(numbers, "ahat")
 
 
 def l_genus(numbers: CharNumbers) -> Fraction:
     """<L(TM), [M]>, the signature for closed oriented manifolds."""
-    dim = numbers.dim
-    poly = genus_sequence("l", dim, bundle=None, pairs=dim // 2)
-    return pair_fundamental(poly, numbers)
+    return _classical(numbers, "l")
+
+
+def _classical(numbers: CharNumbers, factor: str) -> Fraction:
+    """<genus(factor)(TM), [M]>: one slot of the pairing with no tower."""
+    return _paired_series(numbers, 1, ((BundleRoots(numbers.dim // 2), factor, None),)).coeffs[0]
 
 
 def _entries(towers) -> tuple:
@@ -317,12 +306,17 @@ def _entries(towers) -> tuple:
 def _paired(numbers: CharNumbers, order: int, rows, den: int):
     """sum over (mono, row) of <mono, [M]> row[:order] / den, as (row, integer den).
 
-    rows are ktheory.power_rows's.  A number is read only when its
-    monomial's row is nonzero in one of the first `order` slots, so a
-    missing number raises exactly when the density needs it.
+    rows are (mono, integer row) pairs, as ktheory.power_rows gives them.
+    A number is read only when its monomial's row is nonzero in one of the
+    first `order` slots, so a missing number raises exactly when the
+    density needs it.
     """
     paired = [(numbers[mono], row) for mono, row in rows if any(row[:order])]
-    total, nden = _row_sum(paired, order)
+    nden = math.lcm(*(x.denominator for x, _ in paired))
+    total = [0] * order
+    for x, row in paired:
+        scale = x.numerator * (nden // x.denominator)
+        total = [t + scale * v for t, v in zip(total, row)]
     return total, nden * den
 
 
@@ -337,16 +331,6 @@ def _paired_series(numbers: CharNumbers, order: int, towers) -> QSeries:
     rows, den = tower_rows(numbers.dim, True, _entries(towers), order)
     total, den = _paired(numbers, order, rows, den)
     return QSeries(RATIONAL, 0, [Fraction(v, den) for v in total], order)
-
-
-def _row_sum(terms, order: int):
-    """sum of scale * row over (Fraction scale, row) as (row, integer den)."""
-    den = math.lcm(*(scale.denominator for scale, _ in terms))
-    total = [0] * order
-    for scale, row in terms:
-        x = scale.numerator * (den // scale.denominator)
-        total = [t + x * v for t, v in zip(total, row)]
-    return total, den
 
 
 def witten_genus(numbers: CharNumbers, order: int) -> QSeries:

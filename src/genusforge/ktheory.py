@@ -18,9 +18,10 @@ q-part of the Eisenstein series G_2k.  Towers are expanded from that
 closed form by charclass.power_sum_exp: exp of a sum linear in the s_k is
 a sum over the monomials in the s_k of products of rational q-series;
 tower_values sums the same rows at one q, every factor in closed form.
-Those products do not depend on any characteristic number: tower_rows
-keeps them summed per monomial in one bounded memo per (degree, bundles,
-factors, towers), and a call at any order reads a prefix of them.
+Those products do not depend on any characteristic number: power_rows
+sums them per monomial, for a genus factor, a tower or both per bundle,
+and tower_rows keeps them in one bounded memo per (degree, bundles,
+factors, towers), where a call at any order reads a prefix of them.
 sym_total and lambda_total keep the per-factor recursion (an exp over
 GradedPoly coefficients), which the tests use as the independent referee.
 """
@@ -38,7 +39,6 @@ from genusforge.charclass import (
     bundle_power_sums,
     factor_moments,
     graded_slots,
-    mono_rows,
     power_sum_exp,
 )
 from genusforge.errors import DimensionError
@@ -200,14 +200,17 @@ def lambda_total(E: KClass, exponent, order: int, sign: int = 1) -> QSeries:
 _R_LAMBDA = {"R": (0, 1), "R1": (-1, 1), "R2": (-1, -1)}
 
 
-def _tower_factors(tower: str, order: int) -> list:
+def _tower_factors(tower, order: int) -> list:
     """(stride, sign, exterior) of every factor that starts inside the window.
 
+    None  : no factor, the tower 1;
     witten: Sym_{q^j} for j >= 1;
     R     : Sym_{q^m} and Lambda_{q^m} for m >= 1;
     R1    : Sym_{q^m} and Lambda at q^(m - 1/2);
     R2    : as R1 with Lambda at t = -q^(m - 1/2).
     """
+    if tower is None:
+        return []
     if tower == "witten":
         return [(2 * j, 1, False) for j in range(1, (order + 1) // 2)]
     shift, sign = _R_LAMBDA[tower]
@@ -221,7 +224,7 @@ def _tower_factors(tower: str, order: int) -> list:
     return out
 
 
-def tower_log(tower: str, order: int, top: int) -> list:
+def tower_log(tower, order: int, top: int) -> list:
     """Integer Lambert rows h_1 .. h_(top//4) of a tower.
 
     log ch of the tower on E - rank E is sum_k 2 h_k(q) s_k(E) / (2k)!,
@@ -329,13 +332,14 @@ def power_rows(top: int, exact: bool, entries, rows, order: int):
 
     entries are (pair_count, bundle name, factor, tower, mult): factor is
     a genus factor as charclass.factor_moments takes it, or None for the
-    tower alone.  rows[i] are entry i's Lambert rows h_1 .. h_(top//4)
-    over `order` slots: tower_log rows, or one slot of tower_values
-    numbers.  Per bundle the log is mult (c_k + h_k / ((2k)!/2)) s_k, c_k
-    the factor's moments, over one integer denominator; power_sum_exp
-    expands its exp, in degree top alone when exact.  Returns
-    (((mono, row), ...), den): slot n of the product is
-    sum row[n] / den * mono.
+    tower alone, and tower a tower name, or None for the factor alone.
+    rows[i] are entry i's Lambert rows h_1 .. h_(top//4) over `order`
+    slots: tower_log rows (all zero without a tower), or one slot of
+    tower_values numbers.  Per bundle the log is
+    mult (c_k + h_k / ((2k)!/2)) s_k, c_k the factor's moments, over one
+    integer denominator; power_sum_exp expands its exp, in degree top
+    alone when exact, and returns the (((mono, row), ...), den) given here:
+    slot n of the product is sum row[n] / den * mono.
     """
     logs = []
     for (pairs, name, factor, _, mult), hs in zip(entries, rows):
@@ -349,15 +353,15 @@ def power_rows(top: int, exact: bool, entries, rows, order: int):
             if row:
                 row[0] += mult * c.numerator * (den // c.denominator)
             logs.append((bundle, k, row, den))
-    return mono_rows(*power_sum_exp(logs, order, top, exact), order)
+    return power_sum_exp(logs, order, top, exact)
 
 
-# The numbers-free rows of the exact towers, keyed by (top, exact, entries)
-# without the order: slot n of a tower_log row and of every truncated
-# convolution depends only on slots <= n, so the rows at order n are the
-# first n slots of the rows at any larger order.  A key is rebuilt when a
-# call asks for more slots than it holds and is sliced otherwise.  One
-# genus-towers run of the benchmark uses 100 keys.  At dim 24 and order 64
+# The numbers-free rows of the exact towers and genera, keyed by
+# (top, exact, entries) without the order: slot n of a tower_log row and of
+# every truncated convolution depends only on slots <= n, so the rows at
+# order n are the first n slots of the rows at any larger order.  A key is
+# rebuilt when a call asks for more slots than it holds and is sliced
+# otherwise.  One genus-towers run of the benchmark uses 108 keys.  At dim 24 and order 64
 # (the CLI caps) the largest single-bundle-per-block key, a split with
 # p = r = 6 and the R1 tower, holds 0.18 MB; the 88 distinct such keys hold
 # 7.2 MB, and a full memo of 128 of them 8.7 MB (tracemalloc, Python 3.11).

@@ -261,9 +261,8 @@ class QSeries:
         """Multiply by q**delta."""
         return QSeries(self.ring, self.offset + as_fraction(delta), self.coeffs, self.order)
 
-    def map_coefficients(self, fn, ring: CoefficientRing | None = None) -> "QSeries":
-        ring = ring or self.ring
-        return QSeries(ring, self.offset, [fn(c) for c in self.coeffs], self.order)
+    def map_coefficients(self, fn) -> "QSeries":
+        return QSeries(self.ring, self.offset, [fn(c) for c in self.coeffs], self.order)
 
     def alternate_half_signs(self) -> "QSeries":
         """Apply q**(1/2) -> -q**(1/2): negate coefficients at half-integer exponents."""

@@ -162,11 +162,11 @@ class ThetaSeries:
         )
 
 
-def euler_product(order: int, ring=LAURENT) -> QSeries:
+def euler_product(order: int) -> QSeries:
     """c(q) = prod (1 - q^n) truncated to the given slot count."""
     rows = unit_rows(order)
     multiply_rows(rows, euler_factors(order))
-    return QSeries(ring, 0, [ring.coerce(row.get(0, 0)) for row in rows], order)
+    return QSeries(LAURENT, 0, [row.get(0, 0) for row in rows], order)
 
 
 def theta_qseries(kind, order: int) -> ThetaSeries:

@@ -104,6 +104,12 @@ def _bool_point(**fields):
     return {"mode": "foliated", "p": 1, "r": 0, "components": [comp]}
 
 
+def _free_point_of_rank(rank):
+    """One free fixed point whose speed-one moving block has the given rank."""
+    comp = {"dim": 0, "orientation": 1, "moving_f": [{"rank": rank, "m": 1}], "numbers": {"1": 1}}
+    return {"mode": "foliated", "p": rank, "r": 0, "components": [comp]}
+
+
 _RANGE_POINT = ["--t", "0.2137+0.0123j", "--tau", "0.1+1j", "--model"]
 _THETA = ["theta", "check", "--kind", "theta", "--law", "S"]
 
@@ -159,6 +165,21 @@ _MALFORMED = {
     ),
     "speed_1000007_past_double_range": (
         ["equivariant", "G"] + _RANGE_POINT, _split_speed(10**6 + 7),
+    ),
+    # every factor in range, their product at rank 64 past it: NaN, OverflowError
+    "rank_64_value_nan": (
+        ["equivariant", "H", "--t", "1e-7", "--tau", "1j", "--model"], _free_point_of_rank(64),
+    ),
+    "rank_64_value_overflow": (
+        ["equivariant", "H", "--t", "1e-6", "--tau", "1j", "--model"], _free_point_of_rank(64),
+    ),
+    "lefschetz_rank_64_value_nan": (
+        ["equivariant", "lefschetz", "--t", "1e-7", "--tau", "1j", "--model"],
+        _free_point_of_rank(64),
+    ),
+    "lefschetz_rank_64_value_overflow": (
+        ["equivariant", "lefschetz", "--t", "1e-6", "--tau", "1j", "--model"],
+        _free_point_of_rank(64),
     ),
     # JSON booleans are not integers
     "moving_block_booleans": (

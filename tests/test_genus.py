@@ -138,6 +138,10 @@ def test_classical_genera():
     assert ahat_genus(CharNumbers(4, {"p1": 3})) == Q(-1, 8)
     assert ahat_genus(CharNumbers(2, {})) == Q(0)
     assert ahat_genus(CharNumbers(0, {"1": 1})) == Q(1)
+    # HP^2 (p1^2 = 4, p2 = 7) and CP^4 (p1^2 = 25, p2 = 10)
+    hp2 = CharNumbers(8, {"p1^2": 4, "p2": 7})
+    assert (ahat_genus(hp2), l_genus(hp2)) == (0, 1)
+    assert l_genus(CharNumbers(8, {"p1^2": 25, "p2": 10})) == 1
 
 
 def test_witten_point():
@@ -328,14 +332,14 @@ def _raises_missing(fn):
     return False
 
 
-def assert_reads_like_referee(density, dim, full, compute):
+def assert_reads_like_referee(density, dim, full, compute, pair=referee.paired):
     """Complete table, then each key dropped in turn: compute raises
     MissingNumberError exactly when pairing the referee density does, and
     otherwise reads the same numbers."""
     for drop in [None] + sorted(full):
         table = {k: v for k, v in full.items() if k != drop}
         want, got = RecordingNumbers(dim, table), RecordingNumbers(dim, table)
-        want_raised = _raises_missing(lambda: referee.paired(density, want))
+        want_raised = _raises_missing(lambda: pair(density, want))
         got_raised = _raises_missing(lambda: compute(got))
         assert got_raised == want_raised, drop
         if not want_raised:
@@ -368,6 +372,21 @@ def test_missing_numbers_raise_exactly_when_the_referee_reads_them():
                     density, dim, full,
                     lambda nums: _static_series(FixedComponent(dim, 1, p, r, numbers=nums),
                                                 function, order))
+
+
+def test_classical_genera_pair_like_their_sequences():
+    # the one-slot rows of a genus factor with no tower against the
+    # GradedPoly sequence paired by pair_fundamental, at every dim to 24
+    from genusforge.genus import ahat_genus, l_genus
+
+    rng = random.Random(45)
+    for dim in range(25):
+        full = _table(rng, tangent_keys(dim) if dim % 4 == 0 else [])
+        numbers = CharNumbers(dim, full)
+        for factor, genus in (("ahat", ahat_genus), ("l", l_genus)):
+            sequence = genus_sequence(factor, dim, bundle=None, pairs=dim // 2)
+            assert genus(numbers) == pair_fundamental(sequence, numbers), (factor, dim)
+            assert_reads_like_referee(sequence, dim, full, genus, pair=pair_fundamental)
 
 
 def test_zero_order_reads_no_number():
@@ -555,6 +574,42 @@ def test_a_vanishing_coefficient_reads_no_number_in_descending_order():
             density, 8, {"p2": Q(5), "p1^2": Q(-3)},
             lambda nums: _paired_series(nums, order, ((tangent, factor, "witten"),)))
     assert len(ktheory._ROWS) == 1
+
+
+def test_one_benchmark_mix_fits_in_the_memo(monkeypatch):
+    # every (dim, splitting, job kind) of the genus-towers workload, built
+    # at order 1 into an unbounded memo: the distinct keys must fit the cap
+    import importlib.util
+    import pathlib
+
+    from genusforge import ktheory
+    from genusforge.genus import ahat_genus, l_genus
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    mix = workloads.GenusTowers
+    kinds = {job.kind for job in mix().make_round(0)}
+    assert set(mix.SERIES) | {"ahat", "l"} == kinds
+    cap = ktheory._ROWS_CAP
+    monkeypatch.setattr(ktheory, "_ROWS_CAP", 10**6)
+    ktheory._ROWS.clear()
+    for dim in mix.DIMS:
+        numbers = CharNumbers(dim, dict.fromkeys(tangent_keys(dim), 1))
+        witten_genus(numbers, 1)
+        ahat_genus(numbers)
+        l_genus(numbers)
+        for p in range(dim // 2 + 1):
+            r = dim // 2 - p
+            split = SplitManifoldSpec(dim, p, r, dict.fromkeys(split_monomials(dim, p, r), 1))
+            for variant in ("R", "R1", "R2"):
+                split_genus(split, variant, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegralityWarning)
+                subdirac_index(split, psi=witten_element(KClass.bundle(split.F, dim), 1))
+    assert len(ktheory._ROWS) <= cap
+    ktheory._ROWS.clear()
 
 
 def test_the_memo_is_bounded_and_least_recently_used():
