@@ -16,10 +16,14 @@ same assembly with the G static parts and no moving Fperp blocks.
 Everything exists twice: an exact q-expansion with Laurent coefficients
 in w = e^(pi i t) (an ExactSeries, a series numerator over a q-free
 denominator), and a numeric evaluator at a point (t, tau).  The exact
-path builds each component's term and sums the terms in sparse rows of
-exact numbers (the storage of LaurentZ, multiplied and added by
-rings.laurent_mul and laurent_add), folding them as ExactSeries.__add__
-would (the tests' referee), and wraps the sum as an ExactSeries.  The numeric
+path works in sparse rows of exact numbers (the storage of LaurentZ,
+multiplied and added by rings.laurent_mul and laurent_add).  The product
+of the moving quotients depends only on the component's speed signature
+(block ranks, |speeds| and the variant), so it is built once per
+signature and memoized without the order; a component's term is its
+signed static series convolved with those rows, over its own
+denominator.  The terms are folded as ExactSeries.__add__ would fold
+them (the tests' referee), and the sum is wrapped as an ExactSeries.  The numeric
 paths take their accuracy from tol alone: the static parts sum the Lambert
 series of their towers until the tail bound is below tol, and the moving
 blocks truncate their products when the dropped factors are.  The slash
@@ -36,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 from genusforge.charclass import CharNumbers
@@ -67,12 +72,16 @@ from genusforge.theta import (
     rows_series,
     theta_eval,
     theta_prime0,
+    unit_rows,
 )
 
 POLE_TOL = 1e-8
 # bounds on pi Im(s t)^2 / Im(tau) and on |Im(s t)|, see check_poles
 GROWTH_BOUND = 690.0
 IM_ST_BOUND = 112.0
+# the relative rounding bound past which ExactSeries.eval refuses a value,
+# the tolerance the tests and the benchmark check values at
+EVAL_TOL = 1e-9
 
 # moving-Fperp theta kind and static Fperp twist tower per variant; the
 # doubled G line absorbs the value 2 of the cos factor of theta1 at 0
@@ -433,57 +442,148 @@ class ExactSeries:
 
     def eval(self, t, tau) -> complex:
         """Numeric value: truncation error is of the size of the first
-        dropped q-power."""
+        dropped q-power.
+
+        num and den are summed term by term, which cancels catastrophically
+        near a pole, where den is (w - 1/w)^rank with w near 1.  A sum of
+        terms x_i carries a rounding error of about eps sum |x_i|, so a
+        value whose relative bound, eps sum |x_i| / |sum x_i| of num plus
+        that of den, exceeds EVAL_TOL is a SchemaError.
+        """
         tau = check_tau(tau)
         w = cmath.exp(1j * math.pi * complex(t))
+        r = abs(w)
         den = complex(self.den(w))
-        acc = 0j
+        den_mag = sum(abs(c) * r**e for e, c in self.den.items())
+        acc, mag = 0j, 0.0
         for expo, coeff in self.num.terms():
-            acc += complex(coeff(w)) * _qpow(tau, expo)
+            qp = _qpow(tau, expo)
+            acc += complex(coeff(w)) * qp
+            mag += sum(abs(c) * r**e for e, c in coeff.items()) * abs(qp)
+        bound = sys.float_info.epsilon * (_relative(mag, acc) + _relative(den_mag, den))
+        if not bound <= EVAL_TOL:
+            raise SchemaError(
+                f"the exact series at t = {complex(t)}, tau = {complex(tau)} carries a relative "
+                f"rounding bound of {bound:.3g}, past the bound {EVAL_TOL:g}"
+            )
         return acc / den
 
     def __repr__(self):
         return f"ExactSeries(order={self.num.order}, den={self.den!r})"
 
 
+def _relative(mag: float, value: complex) -> float:
+    """mag / |value|, 0 for an exact zero sum (mag 0) and inf for a cancelled one."""
+    if not mag:
+        return 0.0
+    return mag / abs(value) if value else math.inf
+
+
+# The moving rows of one speed signature (_moving_key), least recently used
+# first out.  The key holds no order: slot n of a truncated unit product
+# depends only on slots <= n, so a key is held at the largest order asked
+# so far, rebuilt when a call asks for more slots and sliced otherwise.
+# The bound counts coefficients, not keys.  One equivariant-exact benchmark
+# run uses 51 keys of 17k coefficients (1.4 MB).  At the CLI caps (order
+# 64, w-width 64) the largest key held 12k coefficients (1.4 MB), and a
+# full memo 7.1-7.4 MB (tracemalloc, Python 3.11.7).  A key of more
+# coefficients than the bound is returned but not held.
+_MOVING_CAP = 2**16
+_MOVING = OrderedDict()
+
+
+def _moving_key(comp: FixedComponent, variant: str) -> tuple:
+    """The speed signature of a component's moving blocks.
+
+    (the variant's theta kind, only with moving Fperp blocks; sorted
+    (rank, |m|) of the F blocks; sorted (rank, |n|) of the Fperp blocks).
+    The sign of a speed only enters the denominator: every body factor
+    comes with its z -> 1/z partner, and w^n + w^-n is even in n.
+    """
+    fperp = tuple(sorted((rank, abs(n)) for rank, n in comp.moving_fperp))
+    return (_VARIANT_THETA[variant] if fperp else None,
+            tuple(sorted((rank, abs(m)) for rank, m in comp.moving_f)), fperp)
+
+
+def _build_moving_rows(key: tuple, order: int) -> tuple:
+    """The truncated product of the per-unit moving factors, as tuples of
+    (w-exponent, coefficient) rows.
+
+    Per unit of rank, a moving F block of speed m contributes
+    c(q)^2 / body_theta(w^2m), and a moving Fperp block of speed n
+    c(q)^2 body_kind(w^2n) / (body_theta(w^2n) body_kind(1)), times
+    (w^n + w^-n) for G (kind theta1).
+    """
+    kind, f_blocks, fperp_blocks = key
+    rows = unit_rows(order)
+    muls, divs = [], []
+    cq2 = euler_factors(order) * 2
+    for rank, m in f_blocks:
+        for _ in range(rank):
+            muls += cq2
+            divs += body_factors(THETA, order, 2 * m)
+    for rank, n in fperp_blocks:
+        for _ in range(rank):
+            muls += cq2 + body_factors(kind, order, 2 * n)
+            divs += body_factors(THETA, order, 2 * n) + body_factors(kind, order, 0)
+            if kind == THETA1:
+                rows[0] = laurent_mul(rows[0], {n: 1, -n: 1})
+    # q-only factors first, while the rows are still one entry wide
+    multiply_rows(rows, [f for f in muls if not f[2]])
+    divide_rows(rows, [f for f in divs if not f[2]])
+    multiply_rows(rows, [f for f in muls if f[2]])
+    divide_rows(rows, [f for f in divs if f[2]])
+    return tuple(tuple(row.items()) for row in rows)
+
+
+def _moving_rows(key: tuple, order: int) -> tuple:
+    """The rows of _build_moving_rows at order or more slots, memoized."""
+    held = _MOVING.get(key)
+    if held is not None and held[0] >= order:
+        _MOVING.move_to_end(key)
+        return held[1]
+    rows = _build_moving_rows(key, order)
+    size = sum(map(len, rows))
+    _MOVING.pop(key, None)
+    if size <= _MOVING_CAP:
+        _MOVING[key] = (order, rows, size)
+        total = sum(entry[2] for entry in _MOVING.values())
+        while total > _MOVING_CAP:
+            total -= _MOVING.popitem(last=False)[1][2]
+    return rows
+
+
 def _component_rows(comp: FixedComponent, variant: str, order: int):
     """One component's term as (rows, den): numerator rows over its
     unexpanded denominator, both sparse {w-exponent: coefficient}.
 
-    Per unit of rank, a moving F block of speed m contributes
-    c(q)^2 / body_theta(w^2m) over (w^m - w^-m), and a moving Fperp block
-    of speed n contributes c(q)^2 body_kind(w^2n) / (body_theta(w^2n)
-    body_kind(1)), times (w^n + w^-n) for G, over (w^n - w^-n).  Every
-    q-dependent part is a sparse factor, applied to the static series.
+    The numerator is the orientation times the static series (ints where
+    integral), convolved, truncated, with the moving rows of the
+    component's speed signature (_moving_rows); over a point that is one
+    scale, and a zero static series reads no moving rows.  Each unit of a
+    moving block of speed s adds a factor (w^s - w^-s) to the denominator.
     """
     _check_root_free(comp)
     sign = comp.orientation
-    rows = []
-    for c in _static_series(comp, variant, order).coeffs:
-        c = sign * (c.numerator if c.denominator == 1 else c)
-        rows.append({0: c} if c else {})
+    static = [(i, sign * (c.numerator if c.denominator == 1 else c))
+              for i, c in enumerate(_static_series(comp, variant, order).coeffs) if c]
+    rows = [{} for _ in range(order)]
+    if static:
+        moving = _moving_rows(_moving_key(comp, variant), order)
+        (i, s), rest = static[0], static[1:]
+        rows[i:] = [{e: s * v for e, v in row} for row in moving[:order - i]]
+        for i, s in rest:
+            for dst, row in zip(rows[i:], moving):
+                for e, v in row:
+                    x = dst.get(e, 0) + s * v
+                    if x:
+                        dst[e] = x
+                    else:
+                        del dst[e]
     den = {0: 1}
-    muls, divs = [], []
-    cq2 = euler_factors(order) * 2
-    for rank, m in comp.moving_f:
+    for rank, s in comp.moving_f + comp.moving_fperp:
         for _ in range(rank):
-            muls += cq2
-            divs += body_factors(THETA, order, 2 * m)
-            den = laurent_mul(den, {m: 1, -m: -1})
-    kind = _VARIANT_THETA[variant]
-    for rank, n in comp.moving_fperp:
-        for _ in range(rank):
-            muls += cq2 + body_factors(kind, order, 2 * n)
-            divs += body_factors(THETA, order, 2 * n) + body_factors(kind, order, 0)
-            if variant == "G":
-                rows = [laurent_mul(row, {n: 1, -n: 1}) for row in rows]
-            den = laurent_mul(den, {n: 1, -n: -1})
-    if any(rows):
-        # q-only factors first, while the rows are still one entry wide
-        multiply_rows(rows, [f for f in muls if not f[2]])
-        divide_rows(rows, [f for f in divs if not f[2]])
-        multiply_rows(rows, [f for f in muls if f[2]])
-        divide_rows(rows, [f for f in divs if f[2]])
+            den = laurent_mul(den, {s: 1, -s: -1})
     return rows, den
 
 

@@ -24,17 +24,40 @@ def _load_workloads():
     return module
 
 
+def _first_round_jobs(workloads, name):
+    """The workload, its jobs of ROUNDS, parsed, and the frozen digests."""
+    w = workloads.WORKLOADS[name]
+    expect = json.loads((BENCH / "data" / f"{name}.json").read_text())["expect"]
+    w.setup()
+    jobs = [job for r in ROUNDS for job in w.make_round(r)]
+    for job in jobs:
+        job.parsed = w.parse(job)
+    return w, jobs, expect
+
+
+def _mismatches(workloads, w, jobs, expect):
+    return [job.key for job in jobs
+            if workloads.digest(w.canonical(job, w.execute(job))) != expect[job.key]]
+
+
 @pytest.mark.parametrize("name", ["genus-towers", "equivariant-exact"])
 def test_first_rounds_match_frozen_digests(name):
     workloads = _load_workloads()
-    w = workloads.WORKLOADS[name]
-    expect = json.loads((BENCH / "data" / f"{name}.json").read_text())["expect"]
     with warnings.catch_warnings():
-        w.setup()
-        jobs = [job for r in ROUNDS for job in w.make_round(r)]
-        for job in jobs:
-            job.parsed = w.parse(job)
-        mismatches = [job.key for job in jobs
-                      if workloads.digest(w.canonical(job, w.execute(job))) != expect[job.key]]
+        w, jobs, expect = _first_round_jobs(workloads, name)
+        mismatches = _mismatches(workloads, w, jobs, expect)
     assert jobs
     assert mismatches == []
+
+
+def test_exact_digests_hold_on_a_cleared_and_on_a_warm_memo():
+    # the moving rows are memoized without the order, so a memo filled in
+    # one job order must answer the reverse order as a cleared one does
+    from genusforge import equivariant
+
+    workloads = _load_workloads()
+    w, jobs, expect = _first_round_jobs(workloads, "equivariant-exact")
+    equivariant._MOVING.clear()
+    assert _mismatches(workloads, w, jobs, expect) == []
+    assert equivariant._MOVING
+    assert _mismatches(workloads, w, jobs[::-1], expect) == []

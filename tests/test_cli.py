@@ -181,6 +181,16 @@ _MALFORMED = {
         ["equivariant", "lefschetz", "--t", "1e-6", "--tau", "1j", "--model"],
         _free_point_of_rank(64),
     ),
+    # the expanded (w - 1/w)^rank cancels near t = 0: a finite, wrong exact value
+    "exact_rank_64_near_pole": (
+        ["equivariant", "H", "--exact", "--order", "2", "--t", "1e-7", "--tau", "1j", "--model"],
+        _free_point_of_rank(64),
+    ),
+    "exact_rank_8_near_pole": (
+        ["equivariant", "H", "--exact", "--order", "40", "--t", "1e-3", "--tau", "1j",
+         "--model"],
+        _free_point_of_rank(8),
+    ),
     # JSON booleans are not integers
     "moving_block_booleans": (
         ["equivariant", "H", "--exact", "--order", "6", "--model"],
@@ -354,6 +364,22 @@ def test_malformed_payload_exit_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2
     assert json.loads(proc.stdout, parse_constant=_no_constant)["error"]["type"] == "SchemaError"
     assert "Traceback" not in proc.stderr
+
+
+def test_exact_value_near_a_pole_is_right_or_refused(tmp_path):
+    # the expanded series loses about 1e-5 relative here: it must not print that value
+    from genusforge.equivariant import EVAL_TOL, EquivariantModel
+
+    payload = _free_point_of_rank(8)
+    code, report, _ = run(["equivariant", "H", "--exact", "--order", "40", "--t", "1e-2",
+                           "--tau", "1j", "--model", write_model(tmp_path, "rank_8", payload)])
+    if code == 2:
+        assert report["error"]["type"] == "SchemaError"
+        assert f"bound {EVAL_TOL:g}" in report["error"]["message"]
+    else:
+        want = h_eval(EquivariantModel.from_json(payload), 1e-2, 1j)
+        assert code == 0
+        assert abs(complex(report["results"]["value"]) - want) <= 1e-9 * abs(want)
 
 
 @pytest.mark.parametrize("case", sorted(_PAST_CAP))

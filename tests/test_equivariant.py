@@ -443,6 +443,142 @@ def test_component_rows_sum_as_the_exact_series_fold():
     assert True in fractional
 
 
+def series_state(series):
+    return series.num.offset, series.num.order, series.num.coeffs, series.den
+
+
+def cold_fold(model, function, order):
+    """ExactSeries.__add__ over the one-component models, each on a cleared memo."""
+    from genusforge import equivariant
+
+    total = None
+    for comp in model.components:
+        equivariant._MOVING.clear()
+        term = exact_series(EquivariantModel(model.mode, model.p, model.r, 0, [comp]),
+                            function, order)
+        total = term if total is None else total + term
+    return series_state(total)
+
+
+def test_memoized_rows_match_the_oracles_in_any_order_sequence():
+    # rows held at a larger order are sliced, rows at a smaller one rebuilt;
+    # every sequence, on a cleared and then on a warm memo, reads the same
+    from genusforge import equivariant
+
+    rng = random.Random(20261019)
+    cases = []
+    for function in ("H", "G", "G1", "G2"):
+        model = seeded_point_model(rng, "foliated" if function == "H" else "split")
+        cases.append((model, function, "points"))
+        cases.append((mixed_model(rng, function, rng.choice((4, 8))), function, "mixed"))
+    orders = (3, 6, 9, 12)
+    want = {}
+    for model, function, kind in cases:
+        for order in orders:
+            oracle = oracle_exact if kind == "points" else cold_fold
+            want[id(model), order] = oracle(model, function, order)
+    sequences = (orders, orders[::-1], (6, 6, 12, 3, 12, 9, 3))
+    for sequence in sequences:
+        equivariant._MOVING.clear()
+        for _ in ("cleared", "warm"):
+            for order in sequence:
+                for model, function, kind in cases:
+                    got = exact_series(model, function, order)
+                    if kind == "points":
+                        num = {(e, k): c for e, lz in got.num.terms() for k, c in lz.items()}
+                        assert (num, laurent_dict(got.den)) == want[id(model), order]
+                    else:
+                        assert series_state(got) == want[id(model), order], (function, order)
+
+
+def test_opposite_speeds_share_a_key_and_flip_the_denominator():
+    from genusforge.equivariant import _component_rows, _moving_key
+
+    for m, n in ((1, 1), (2, 3), (3, -2)):
+        for variant in ("G", "G1", "G2"):
+            plus = point([m], [n])
+            rows, den = _component_rows(plus, variant, 8)
+            for minus in (point([-m], [n]), point([m], [-n])):
+                assert _moving_key(minus, variant) == _moving_key(plus, variant)
+                rows_minus, den_minus = _component_rows(minus, variant, 8)
+                assert rows_minus == rows
+                assert den_minus == {e: -c for e, c in den.items()}
+            # the F block alone keeps its key under every variant
+            assert _moving_key(point([m]), variant) == (None, ((1, abs(m)),), ())
+
+
+def test_the_moving_memo_is_bounded_and_least_recently_used(monkeypatch):
+    from genusforge import equivariant
+    from genusforge.equivariant import _MOVING, _moving_rows
+
+    def held():
+        return sum(entry[2] for entry in _MOVING.values())
+
+    _MOVING.clear()
+    monkeypatch.setattr(equivariant, "_MOVING_CAP", 100)
+    keep = (None, ((1, 1),), ())
+    _moving_rows(keep, 6)
+    for speed in range(2, 40):
+        _moving_rows((None, ((1, speed),), ()), 6)
+        assert held() <= 100
+        _moving_rows(keep, 6)  # a used key stays
+    assert keep in _MOVING and (None, ((1, 2),), ()) not in _MOVING
+    assert all(type(row) is tuple for _, rows, _ in _MOVING.values() for row in rows)
+    # a key past the bound is returned but not held, and evicts nothing
+    before = list(_MOVING)
+    big = ("theta1", ((2, 3),), ((2, 2),))
+    rows = _moving_rows(big, 30)
+    assert sum(map(len, rows)) > 100
+    assert big not in _MOVING and list(_MOVING) == before
+    _MOVING.clear()
+
+
+def test_changing_a_returned_series_leaves_the_next_call_unchanged():
+    from genusforge.equivariant import _component_rows
+
+    model = EquivariantModel("split", 2, 1, 0, [point([1, 2], [3]), point([-1, 2], [1])])
+    want, want_low = cold_fold(model, "G", 9), cold_fold(model, "G", 5)
+    got = g_series(model, "G", 9)
+    assert series_state(got) == want
+    for lz in got.num.coeffs:
+        lz.terms.clear()
+    got.den.terms.clear()
+    rows, den = _component_rows(model.components[0], "G", 9)
+    for row in rows:
+        row.clear()
+    den.clear()
+    assert series_state(g_series(model, "G", 9)) == want
+    assert series_state(g_series(model, "G", 5)) == want_low
+
+
+def test_one_benchmark_run_fits_in_the_moving_memo(monkeypatch):
+    # every speed signature of the equivariant-exact workload, at the largest
+    # order its jobs ask for, built into an unbounded memo: it must fit the bound
+    import importlib.util
+    import pathlib
+
+    from genusforge import equivariant
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cap = equivariant._MOVING_CAP
+    monkeypatch.setattr(equivariant, "_MOVING_CAP", 10**9)
+    equivariant._MOVING.clear()
+    speeds = range(1, 4)  # point_model's default max_speed
+    for function, (_, top), _, rank in workloads.EquivariantExact.MODEL_JOBS:
+        for m in speeds:
+            for n in speeds if function != "H" else (None,):
+                comp = FixedComponent(0, 1, 0, 0, [(rank, m)], [(rank, n)] if n else [],
+                                      numbers={"1": 1})
+                mode = "foliated" if function == "H" else "split"
+                exact_series(EquivariantModel(mode, rank, rank if n else 0, 0, [comp]),
+                             function, top)
+    assert sum(entry[2] for entry in equivariant._MOVING.values()) <= cap
+    equivariant._MOVING.clear()
+
+
 def full_static_series(comp, variant, order):
     """The paired static density through the factor-by-factor towers."""
     from genusforge.charclass import BundleRoots
