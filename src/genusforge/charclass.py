@@ -150,14 +150,6 @@ class GradedPoly:
     def generator(cls, kind, bundle, index, top, coeff=1):
         return cls({((_sym(kind, bundle, index), 1),): as_fraction(coeff)}, top)
 
-    def degree_part(self, degree: int) -> "GradedPoly":
-        return GradedPoly(
-            {m: c for m, c in self.terms.items() if _mono_degree(m) == degree}, self.top
-        )
-
-    def constant_part(self) -> Fraction:
-        return self.terms.get((), _Q0)
-
     def symbols(self):
         out = set()
         for mono in self.terms:
@@ -256,9 +248,6 @@ class GradedPoly:
                 piece = piece * rep**e
             out = out + piece
         return out
-
-    def to_strings(self) -> dict:
-        return {mono_str(m): fraction_str(c) for m, c in sorted(self.terms.items())}
 
     def __repr__(self):
         if not self.terms:

@@ -20,9 +20,9 @@ path works in sparse rows of exact numbers (the storage of LaurentZ,
 multiplied and added by rings.laurent_mul and laurent_add).  The product
 of the moving quotients depends only on the component's speed signature
 (block ranks, |speeds| and the variant), so it is built once per
-signature and memoized without the order; a component's term is its
-signed static series convolved with those rows, over its own
-denominator.  The terms are folded as ExactSeries.__add__ would fold
+signature and held without the order (series.prefix_rows); a
+component's term is its signed static series convolved with those rows,
+over its own denominator.  The terms are folded as ExactSeries.__add__ would fold
 them (the tests' referee), and the sum is wrapped as an ExactSeries.  The numeric
 paths take their accuracy from tol alone: the static parts sum the Lambert
 series of their towers until the tail bound is below tol, and the moving
@@ -40,7 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 
 from genusforge.charclass import CharNumbers
@@ -56,7 +55,7 @@ from genusforge.rings import (
     laurent_add,
     laurent_mul,
 )
-from genusforge.series import QSeries
+from genusforge.series import QSeries, prefix_rows
 from genusforge.theta import (
     THETA,
     THETA1,
@@ -68,6 +67,7 @@ from genusforge.theta import (
     divide_rows,
     euler_factors,
     multiply_rows,
+    reduced_st,
     reduced_tau,
     rows_series,
     theta_eval,
@@ -92,12 +92,6 @@ _VARIANT_SUBGROUP = {"H": "sl2z", "G": "gamma0_2", "G1": "gamma_upper0_2", "G2":
 
 # ---------------------------------------------------------------------------
 # the modular side: integer 2x2 matrices, congruence subgroups, form metadata
-
-
-def mat_mul(A, B):
-    (a, b), (c, d) = A
-    (e, f), (g, h) = B
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def _check_matrix(mat):
@@ -451,7 +445,7 @@ class ExactSeries:
         that of den, exceeds EVAL_TOL is a SchemaError.
         """
         tau = check_tau(tau)
-        w = cmath.exp(1j * math.pi * complex(t))
+        w = cmath.exp(1j * math.pi * reduced_st(1, t))
         r = abs(w)
         den = complex(self.den(w))
         den_mag = sum(abs(c) * r**e for e, c in self.den.items())
@@ -479,19 +473,6 @@ def _relative(mag: float, value: complex) -> float:
     return mag / abs(value) if value else math.inf
 
 
-# The moving rows of one speed signature (_moving_key), least recently used
-# first out.  The key holds no order: slot n of a truncated unit product
-# depends only on slots <= n, so a key is held at the largest order asked
-# so far, rebuilt when a call asks for more slots and sliced otherwise.
-# The bound counts coefficients, not keys.  One equivariant-exact benchmark
-# run uses 51 keys of 17k coefficients (1.4 MB).  At the CLI caps (order
-# 64, w-width 64) the largest key held 12k coefficients (1.4 MB), and a
-# full memo 7.1-7.4 MB (tracemalloc, Python 3.11.7).  A key of more
-# coefficients than the bound is returned but not held.
-_MOVING_CAP = 2**16
-_MOVING = OrderedDict()
-
-
 def _moving_key(comp: FixedComponent, variant: str) -> tuple:
     """The speed signature of a component's moving blocks.
 
@@ -505,9 +486,9 @@ def _moving_key(comp: FixedComponent, variant: str) -> tuple:
             tuple(sorted((rank, abs(m)) for rank, m in comp.moving_f)), fperp)
 
 
-def _build_moving_rows(key: tuple, order: int) -> tuple:
+def _build_moving_rows(key: tuple, order: int):
     """The truncated product of the per-unit moving factors, as tuples of
-    (w-exponent, coefficient) rows.
+    (w-exponent, coefficient) rows, and their coefficient count.
 
     Per unit of rank, a moving F block of speed m contributes
     c(q)^2 / body_theta(w^2m), and a moving Fperp block of speed n
@@ -533,24 +514,7 @@ def _build_moving_rows(key: tuple, order: int) -> tuple:
     divide_rows(rows, [f for f in divs if not f[2]])
     multiply_rows(rows, [f for f in muls if f[2]])
     divide_rows(rows, [f for f in divs if f[2]])
-    return tuple(tuple(row.items()) for row in rows)
-
-
-def _moving_rows(key: tuple, order: int) -> tuple:
-    """The rows of _build_moving_rows at order or more slots, memoized."""
-    held = _MOVING.get(key)
-    if held is not None and held[0] >= order:
-        _MOVING.move_to_end(key)
-        return held[1]
-    rows = _build_moving_rows(key, order)
-    size = sum(map(len, rows))
-    _MOVING.pop(key, None)
-    if size <= _MOVING_CAP:
-        _MOVING[key] = (order, rows, size)
-        total = sum(entry[2] for entry in _MOVING.values())
-        while total > _MOVING_CAP:
-            total -= _MOVING.popitem(last=False)[1][2]
-    return rows
+    return tuple(tuple(row.items()) for row in rows), sum(map(len, rows))
 
 
 def _component_rows(comp: FixedComponent, variant: str, order: int):
@@ -559,9 +523,10 @@ def _component_rows(comp: FixedComponent, variant: str, order: int):
 
     The numerator is the orientation times the static series (ints where
     integral), convolved, truncated, with the moving rows of the
-    component's speed signature (_moving_rows); over a point that is one
-    scale, and a zero static series reads no moving rows.  Each unit of a
-    moving block of speed s adds a factor (w^s - w^-s) to the denominator.
+    component's speed signature (prefix_rows' ("moving", _moving_key));
+    over a point that is one scale, and a zero static series reads no
+    moving rows.  Each unit of a moving block of speed s adds a factor
+    (w^s - w^-s) to the denominator.
     """
     _check_root_free(comp)
     sign = comp.orientation
@@ -569,7 +534,8 @@ def _component_rows(comp: FixedComponent, variant: str, order: int):
               for i, c in enumerate(_static_series(comp, variant, order).coeffs) if c]
     rows = [{} for _ in range(order)]
     if static:
-        moving = _moving_rows(_moving_key(comp, variant), order)
+        key = _moving_key(comp, variant)
+        moving = prefix_rows(("moving", key), order, _build_moving_rows, key)
         (i, s), rest = static[0], static[1:]
         rows[i:] = [{e: s * v for e, v in row} for row in moving[:order - i]]
         for i, s in rest:
@@ -653,9 +619,9 @@ def _qpow(tau, expo) -> complex:
 def check_poles(model: EquivariantModel, t, tau):
     """Check tau and t, then reject t where a speed s puts s t on a pole or out of range.
 
-    The theta quotients have poles on the lattice Z + tau Z, so s t is
-    first moved by round(Im(s t) / Im(tau)) tau and then measured against
-    the integers: within POLE_TOL is a PoleError.  The theta products
+    The theta quotients have poles on the lattice Z + tau Z, so s t (mod 2,
+    theta.reduced_st) is first moved by round(Im(s t) / Im(tau)) tau and
+    then measured against the integers: within POLE_TOL is a PoleError.  The theta products
     grow like exp(pi Im(s t)^2 / Im(tau)), which leaves double range near
     exp(709): the quotient path returned NaN or raised from 706 on (Im tau
     from the 0.05 floor to 20, every genus function).  Points past
@@ -677,9 +643,9 @@ def check_poles(model: EquivariantModel, t, tau):
     if not cmath.isfinite(tc):
         raise SchemaError(f"t = {tc} is not finite")
     for s in model.speeds():
-        x = s * tc
-        if not cmath.isfinite(x):
+        if not cmath.isfinite(s * tc):
             raise SchemaError(f"speed {s} puts {s}*t past double range")
+        x = reduced_st(s, tc)
         growth = math.pi * x.imag * x.imag / tauc.imag
         if growth > GROWTH_BOUND:
             raise SchemaError(
@@ -693,17 +659,17 @@ def check_poles(model: EquivariantModel, t, tau):
             )
         y = x - round(x.imag / tauc.imag) * tauc
         if abs(y - round(y.real)) < POLE_TOL:
-            raise PoleError(f"speed {s} puts {s}*t = {x:.12g} on a pole")
+            raise PoleError(f"speed {s} puts {s}*t = {x:.12g} mod 2 on a pole")
 
 
 def _w_eval(m, t, tau, tol) -> complex:
-    return theta_prime0(tau, tol) / (2j * math.pi * theta_eval(THETA, m * t, tau, tol))
+    return theta_prime0(tau, tol) / (2j * math.pi * theta_eval(THETA, reduced_st(m, t), tau, tol))
 
 
 def _v_eval(variant, n, t, tau, tol) -> complex:
-    kind = _VARIANT_THETA[variant]
-    val = theta_prime0(tau, tol) * theta_eval(kind, n * t, tau, tol)
-    val /= 2j * math.pi * theta_eval(THETA, n * t, tau, tol) * theta_eval(kind, 0.0, tau, tol)
+    kind, x = _VARIANT_THETA[variant], reduced_st(n, t)
+    val = theta_prime0(tau, tol) * theta_eval(kind, x, tau, tol)
+    val /= 2j * math.pi * theta_eval(THETA, x, tau, tol) * theta_eval(kind, 0.0, tau, tol)
     if variant == "G":
         val *= 2
     return val
@@ -759,9 +725,10 @@ def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12):
 
 def _w_direct(m, t, tau, tol) -> complex:
     q = cmath.exp(2j * math.pi * reduced_tau(tau))
-    z = cmath.exp(2j * math.pi * m * complex(t))
+    x = reduced_st(m, t)
+    z = cmath.exp(2j * math.pi * x)
     grow = max(abs(z), 1 / abs(z), 1.0)
-    out = 1 / (2 * cmath.sinh(1j * math.pi * m * complex(t)))
+    out = 1 / (2 * cmath.sinh(1j * math.pi * x))
     for k in range(1, _factor_count(abs(q), grow, tol) + 1):
         qk = q**k
         out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
@@ -771,10 +738,11 @@ def _w_direct(m, t, tau, tol) -> complex:
 def _v_direct(variant, n, t, tau, tol) -> complex:
     tau = reduced_tau(tau)
     q = cmath.exp(2j * math.pi * tau)
-    z = cmath.exp(2j * math.pi * n * complex(t))
+    x = reduced_st(n, t)
+    z = cmath.exp(2j * math.pi * x)
     grow = max(abs(z), 1 / abs(z), 1.0)
     terms = _factor_count(abs(q) ** 0.5, grow, tol)
-    arg = 1j * math.pi * n * complex(t)
+    arg = 1j * math.pi * x
     if variant == "G":
         out = cmath.cosh(arg) / cmath.sinh(arg)
     else:

@@ -25,12 +25,12 @@ p-expansions of s^lambda, is charclass.exp_walk's: built once per
 table.  The rational q-series that multiplies each number depends on the
 dimension, the splitting and the towers alone: ktheory.power_rows builds
 it, and ktheory.tower_rows keeps it per (dim, splitting, towers) for
-every order to read a prefix of; split_genus_value folds one-slot rows
-at every tau.  Every pairing reads only the numbers whose rows are
-nonzero within its order, through _paired, and sums the rows.
+every order to read a prefix of (series.prefix_rows); split_genus_value
+folds one-slot rows at every tau.  Every pairing reads only the numbers
+whose rows are nonzero within its order, through _paired, and sums them.
 subdirac_index pairs a series twist through the top degree alone: the
-base class Ahat(F) L(Fperp) is power_rows' with no tower, cached per
-(dim, p, r), and per slot only the products of degree dim are formed.
+base class Ahat(F) L(Fperp) is tower_rows' with no tower, its products
+cached per (dim, p, r), and per slot only those of degree dim are formed.
 index_density still builds the whole density from ahat_poly and l_poly
 (charclass.genus_sequence), the referee of these pairings.
 """
@@ -53,7 +53,7 @@ from genusforge.charclass import (
     genus_sequence,
 )
 from genusforge.errors import SchemaError
-from genusforge.ktheory import power_rows, tower_log, tower_rows, tower_values
+from genusforge.ktheory import power_rows, tower_rows, tower_values
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
 from genusforge.theta import reduced_tau
@@ -195,10 +195,10 @@ def _integrality(values, guaranteed: bool, label: str):
 class _TopPairing:
     """The base class Ahat(F) L(Fperp) of a splitting, set up for pairing.
 
-    The base is kept by degree as ktheory.power_rows gives it, integer
-    coefficients over one denominator.  products(m1) lists the monomials
-    m1 * m2 of degree dim, with m2 a base monomial, as (m1 * m2, integer
-    coefficient of m2), memoized per m1.  A pairing that finds more than
+    The base is slot 0 of ktheory.tower_rows' no-tower key, kept by
+    degree, integer coefficients over one denominator.  products(m1) lists
+    the monomials m1 * m2 of degree dim, with m2 a base monomial, as
+    (m1 * m2, integer coefficient of m2), memoized per m1.  A pairing that finds more than
     _PRODUCTS_CAP m1 known starts the memo afresh, so it stays bounded
     whatever symbols the twists use.
     """
@@ -207,12 +207,12 @@ class _TopPairing:
 
     def __init__(self, dim: int, p: int, r: int):
         entries = ((p, "F", "ahat", None, 1), (r, "Fperp", "l", None, 1))
-        rows, self.den = power_rows(dim, False, entries, [tower_log(None, 1, dim)] * 2, 1)
+        rows, self.den = tower_rows(dim, False, entries, 1)
         self.dim = dim
         self.by_degree = {}
-        for mono, (c,) in rows:
-            if c:
-                self.by_degree.setdefault(_mono_degree(mono), []).append((mono, c))
+        for mono, row in rows:  # slot 0 alone: the key may be held at a larger order
+            if row[0]:
+                self.by_degree.setdefault(_mono_degree(mono), []).append((mono, row[0]))
         self.memo = {}
 
     def products(self, m1) -> tuple:

@@ -20,8 +20,9 @@ a sum over the monomials in the s_k of products of rational q-series;
 tower_values sums the same rows at one q, every factor in closed form.
 Those products do not depend on any characteristic number: power_rows
 sums them per monomial, for a genus factor, a tower or both per bundle,
-and tower_rows keeps them in one bounded memo per (degree, bundles,
-factors, towers), where a call at any order reads a prefix of them.
+and tower_rows keeps them per (degree, bundles, factors, towers) in the
+bounded prefix memo of series.prefix_rows, where a call at any order
+reads a prefix of them.
 sym_total and lambda_total keep the per-factor recursion (an exp over
 GradedPoly coefficients), which the tests use as the independent referee.
 """
@@ -29,7 +30,6 @@ GradedPoly coefficients), which the tests use as the independent referee.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from fractions import Fraction
 
 from genusforge.charclass import (
@@ -42,7 +42,7 @@ from genusforge.charclass import (
     power_sum_exp,
 )
 from genusforge.errors import DimensionError
-from genusforge.series import STEP, QSeries
+from genusforge.series import STEP, QSeries, prefix_rows
 
 
 class KClass:
@@ -356,17 +356,12 @@ def power_rows(top: int, exact: bool, entries, rows, order: int):
     return power_sum_exp(logs, order, top, exact)
 
 
-# The numbers-free rows of the exact towers and genera, keyed by
-# (top, exact, entries) without the order: slot n of a tower_log row and of
-# every truncated convolution depends only on slots <= n, so the rows at
-# order n are the first n slots of the rows at any larger order.  A key is
-# rebuilt when a call asks for more slots than it holds and is sliced
-# otherwise.  One genus-towers run of the benchmark uses 108 keys.  At dim 24 and order 64
-# (the CLI caps) the largest single-bundle-per-block key, a split with
-# p = r = 6 and the R1 tower, holds 0.18 MB; the 88 distinct such keys hold
-# 7.2 MB, and a full memo of 128 of them 8.7 MB (tracemalloc, Python 3.11).
-_ROWS_CAP = 128
-_ROWS = OrderedDict()
+def _tower_table(top: int, exact: bool, entries: tuple, order: int):
+    """power_rows over the tower_log rows of the entries, as tuples, and its size."""
+    rows, den = power_rows(top, exact, entries,
+                           [tower_log(entry[3], order, top) for entry in entries], order)
+    rows = tuple((mono, tuple(row)) for mono, row in rows)
+    return (rows, den), sum(len(row) for _, row in rows)
 
 
 def tower_rows(top: int, exact: bool, entries: tuple, order: int):
@@ -374,20 +369,10 @@ def tower_rows(top: int, exact: bool, entries: tuple, order: int):
 
     Returns (rows, den) as power_rows does, with every row a tuple of at
     least `order` integers: read the first `order` of them.  The rows are
-    shared by every call, so they are tuples.
+    held in series.prefix_rows under ("tower", top, exact, entries).
     """
-    key = (top, exact, entries)
-    held = _ROWS.get(key)
-    if held is not None and held[0] >= order:
-        _ROWS.move_to_end(key)
-        return held[1:]
-    rows, den = power_rows(top, exact, entries,
-                           [tower_log(entry[3], order, top) for entry in entries], order)
-    held = _ROWS[key] = (order, tuple((mono, tuple(row)) for mono, row in rows), den)
-    _ROWS.move_to_end(key)
-    if len(_ROWS) > _ROWS_CAP:
-        _ROWS.popitem(last=False)
-    return held[1:]
+    return prefix_rows(("tower", top, exact, entries), order, _tower_table,
+                       top, exact, entries)
 
 
 def _tower_series(E: KClass, tower: str, order: int) -> QSeries:

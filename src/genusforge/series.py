@@ -5,10 +5,13 @@ and treats everything below the offset as identically zero.  Coefficients
 at or past offset + order/2 are unknown: arithmetic never fabricates them,
 so a product is only known to the shorter of the two input windows.
 Coefficients lie in an exact ring, so zero tests and equality are exact.
+Slot n of a truncated product depends only on slots <= n, so prefix_rows
+holds the numbers-free row tables of both exact paths without their order.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 
 from genusforge._kernels import convolve_trunc, series_inv
@@ -22,6 +25,40 @@ from genusforge.errors import (
 from genusforge.rings import CoefficientRing, as_fraction, check_same_ring
 
 STEP = Fraction(1, 2)
+
+# The numbers-free row tables of the exact paths, keyed by a tag and the
+# table's arguments without the order: ("tower", top, exact, entries) for
+# ktheory.tower_rows and ("moving", speed signature) for the moving theta
+# products of equivariant.  A table is held at the largest order asked so
+# far, rebuilt from slot 0 when a call asks for more slots and sliced
+# otherwise (slot n depends only on slots <= n).  Tables leave least
+# recently used first once the held coefficients pass PREFIX_CAP; a table
+# of more coefficients than that is returned but not held.  At their
+# largest orders the benchmark's whole genus-towers pool holds 132 tower
+# keys of 18.2k coefficients and its equivariant-exact pool 51 moving keys
+# of 17.5k, so both mixes fit together.  At the CLI caps (dim 24 with 129
+# slots; order 64 with w-width 64) the largest tower key holds 8.4k
+# coefficients (0.37 MB), the widest moving key 64.9k (7.8 MB), and a full
+# memo 2.2-7.8 MB (tracemalloc, Python 3.11.7).
+PREFIX_CAP = 2**16
+_PREFIX_ROWS = OrderedDict()
+
+
+def prefix_rows(key, order: int, build, *args):
+    """build(*args, order)'s table, which build returns with its coefficient
+    count; a held table is shared (so tuples) and may run past `order` slots."""
+    held = _PREFIX_ROWS.get(key)
+    if held is not None and held[0] >= order:
+        _PREFIX_ROWS.move_to_end(key)
+        return held[1]
+    table, size = build(*args, order)
+    _PREFIX_ROWS.pop(key, None)
+    if size <= PREFIX_CAP:
+        _PREFIX_ROWS[key] = (order, table, size)
+        total = sum(entry[2] for entry in _PREFIX_ROWS.values())
+        while total > PREFIX_CAP:
+            total -= _PREFIX_ROWS.popitem(last=False)[1][2]
+    return table
 
 
 class QSeries:

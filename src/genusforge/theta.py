@@ -197,6 +197,18 @@ def reduced_tau(tau) -> complex:
     return complex(math.fmod(tau.real, 8.0), tau.imag)
 
 
+def reduced_st(s: int, t) -> complex:
+    """s t with Re(s t) reduced mod 2 into [-1, 1) exactly, from the binary value
+    of Re(t), then rounded once: every theta quotient is 2-periodic in s t and
+    w = e^(pi i t) in t, but s * Re(t) in floats loses the phase at a large s t."""
+    t = complex(t)
+    if -2**53 < s < 2**53 and -1.0 < (st := s * t).real < 1.0:
+        return st  # nothing to reduce, and float(s) * Re(t) is rounded once
+    num, den = t.real.as_integer_ratio()
+    rem = s * num % (2 * den)
+    return complex((rem - 2 * den if rem >= den else rem) / den, s * t.imag)
+
+
 def check_tau(tau) -> complex:
     """Reject a non-finite tau and tau outside TAU_FLOOR <= Im(tau) <= TAU_CEIL;
     return the reduced_tau that the q-powers are formed from."""

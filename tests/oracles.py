@@ -644,3 +644,32 @@ def exact_value(coeffs, x):
         scale *= d
     scale = den * (scale // d)
     return complex(float(Fraction(re, scale)), float(Fraction(im, scale)))
+
+
+# ---------------------------------------------------------------------------
+# small readers of library values
+
+
+def degree_part(poly, degree):
+    """The terms of a GradedPoly in one degree; p_i and s_i have degree 4i."""
+    return type(poly)({mono: c for mono, c in poly.terms.items()
+                       if sum(4 * sym[2] * e for sym, e in mono) == degree}, poly.top)
+
+
+def term_strings(poly):
+    """A GradedPoly as {monomial text: "numerator/denominator"}, e.g. p1(F)^2*p2."""
+    out = {}
+    for mono, c in sorted(poly.terms.items()):
+        bits = []
+        for (kind, bundle, index), e in mono:
+            sym = f"{kind}{index}" if bundle is None else f"{kind}{index}({bundle})"
+            bits.append(sym if e == 1 else f"{sym}^{e}")
+        out["*".join(bits) or "1"] = f"{c.numerator}/{c.denominator}"
+    return out
+
+
+def mat_mul(A, B):
+    """The product of two 2x2 integer matrices given as row pairs."""
+    (a, b), (c, d) = A
+    (e, f), (g, h) = B
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))

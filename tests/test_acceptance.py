@@ -21,7 +21,6 @@ from genusforge.equivariant import (
     jacobi_residual,
     lefschetz_eval,
     form_meta,
-    mat_mul,
     subgroup_member,
 )
 from genusforge.genus import subdirac_index, witten_genus
@@ -30,7 +29,7 @@ from genusforge.charclass import BundleRoots, GradedRing
 from genusforge.series import QSeries
 from genusforge.theta import KINDS, theta_eval, theta_qseries, verify_transform
 
-from oracles import two_fixed_point_sum
+from oracles import mat_mul, two_fixed_point_sum
 
 Q = Fraction
 

@@ -51,13 +51,16 @@ def test_first_rounds_match_frozen_digests(name):
 
 
 def test_exact_digests_hold_on_a_cleared_and_on_a_warm_memo():
-    # the moving rows are memoized without the order, so a memo filled in
-    # one job order must answer the reverse order as a cleared one does
-    from genusforge import equivariant
+    # the tower rows and the moving rows are memoized without the order, so
+    # a memo filled in one job order must answer the reverse order as a
+    # cleared one does
+    from genusforge import series
 
     workloads = _load_workloads()
-    w, jobs, expect = _first_round_jobs(workloads, "equivariant-exact")
-    equivariant._MOVING.clear()
-    assert _mismatches(workloads, w, jobs, expect) == []
-    assert equivariant._MOVING
-    assert _mismatches(workloads, w, jobs[::-1], expect) == []
+    for name in ("genus-towers", "equivariant-exact"):
+        with warnings.catch_warnings():
+            w, jobs, expect = _first_round_jobs(workloads, name)
+            series._PREFIX_ROWS.clear()
+            assert _mismatches(workloads, w, jobs, expect) == [], name
+            assert series._PREFIX_ROWS, name
+            assert _mismatches(workloads, w, jobs[::-1], expect) == [], name

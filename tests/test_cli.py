@@ -500,6 +500,22 @@ def test_large_imaginary_t_inside_the_bounds_still_evaluates(free_point_file):
     assert complex(report["results"]["value"]) == want
 
 
+def test_a_large_speed_prints_the_value_at_s_t_mod_2(tmp_path):
+    # speed 10^12 + 1 at t is speed 1 at (10^12 + 1) t mod 2, reduced exactly
+    from fractions import Fraction
+
+    from genusforge.equivariant import EquivariantModel
+
+    t = 0.1234567
+    payload = _bool_point(moving_f=[{"rank": 1, "m": 10**12 + 1}])
+    code, report, _ = run(["equivariant", "H", "--t", repr(t), "--tau", "0.2+1j", "--model",
+                           write_model(tmp_path, "fast_point", payload)])
+    assert code == 0
+    want = h_eval(EquivariantModel.from_json(_bool_point()),
+                  float(Fraction(t) * (10**12 + 1) % 2), 0.2 + 1j)
+    assert abs(complex(report["results"]["value"]) - want) <= 1e-12 * abs(want)
+
+
 def test_equivariant_lefschetz_agrees_with_quotient(free_split_file):
     argv_tail = ["--model", free_split_file, "--t", "0.31-0.07j", "--tau", "0.2+1.1j",
                  "--variant", "G1"]

@@ -25,7 +25,6 @@ from genusforge.equivariant import (
     jacobi_residual,
     lefschetz_eval,
     form_meta,
-    mat_mul,
     slash_value,
     shift_factor,
     subgroup_member,
@@ -39,6 +38,7 @@ from genusforge.theta import theta_eval, theta_prime0
 from oracles import (
     euler_product_oracle,
     exact_value,
+    mat_mul,
     split_monomials,
     tadd,
     theta_body_oracle,
@@ -449,11 +449,11 @@ def series_state(series):
 
 def cold_fold(model, function, order):
     """ExactSeries.__add__ over the one-component models, each on a cleared memo."""
-    from genusforge import equivariant
+    from genusforge import series
 
     total = None
     for comp in model.components:
-        equivariant._MOVING.clear()
+        series._PREFIX_ROWS.clear()
         term = exact_series(EquivariantModel(model.mode, model.p, model.r, 0, [comp]),
                             function, order)
         total = term if total is None else total + term
@@ -463,7 +463,7 @@ def cold_fold(model, function, order):
 def test_memoized_rows_match_the_oracles_in_any_order_sequence():
     # rows held at a larger order are sliced, rows at a smaller one rebuilt;
     # every sequence, on a cleared and then on a warm memo, reads the same
-    from genusforge import equivariant
+    from genusforge import series
 
     rng = random.Random(20261019)
     cases = []
@@ -479,7 +479,7 @@ def test_memoized_rows_match_the_oracles_in_any_order_sequence():
             want[id(model), order] = oracle(model, function, order)
     sequences = (orders, orders[::-1], (6, 6, 12, 3, 12, 9, 3))
     for sequence in sequences:
-        equivariant._MOVING.clear()
+        series._PREFIX_ROWS.clear()
         for _ in ("cleared", "warm"):
             for order in sequence:
                 for model, function, kind in cases:
@@ -507,32 +507,6 @@ def test_opposite_speeds_share_a_key_and_flip_the_denominator():
             assert _moving_key(point([m]), variant) == (None, ((1, abs(m)),), ())
 
 
-def test_the_moving_memo_is_bounded_and_least_recently_used(monkeypatch):
-    from genusforge import equivariant
-    from genusforge.equivariant import _MOVING, _moving_rows
-
-    def held():
-        return sum(entry[2] for entry in _MOVING.values())
-
-    _MOVING.clear()
-    monkeypatch.setattr(equivariant, "_MOVING_CAP", 100)
-    keep = (None, ((1, 1),), ())
-    _moving_rows(keep, 6)
-    for speed in range(2, 40):
-        _moving_rows((None, ((1, speed),), ()), 6)
-        assert held() <= 100
-        _moving_rows(keep, 6)  # a used key stays
-    assert keep in _MOVING and (None, ((1, 2),), ()) not in _MOVING
-    assert all(type(row) is tuple for _, rows, _ in _MOVING.values() for row in rows)
-    # a key past the bound is returned but not held, and evicts nothing
-    before = list(_MOVING)
-    big = ("theta1", ((2, 3),), ((2, 2),))
-    rows = _moving_rows(big, 30)
-    assert sum(map(len, rows)) > 100
-    assert big not in _MOVING and list(_MOVING) == before
-    _MOVING.clear()
-
-
 def test_changing_a_returned_series_leaves_the_next_call_unchanged():
     from genusforge.equivariant import _component_rows
 
@@ -549,34 +523,6 @@ def test_changing_a_returned_series_leaves_the_next_call_unchanged():
     den.clear()
     assert series_state(g_series(model, "G", 9)) == want
     assert series_state(g_series(model, "G", 5)) == want_low
-
-
-def test_one_benchmark_run_fits_in_the_moving_memo(monkeypatch):
-    # every speed signature of the equivariant-exact workload, at the largest
-    # order its jobs ask for, built into an unbounded memo: it must fit the bound
-    import importlib.util
-    import pathlib
-
-    from genusforge import equivariant
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    cap = equivariant._MOVING_CAP
-    monkeypatch.setattr(equivariant, "_MOVING_CAP", 10**9)
-    equivariant._MOVING.clear()
-    speeds = range(1, 4)  # point_model's default max_speed
-    for function, (_, top), _, rank in workloads.EquivariantExact.MODEL_JOBS:
-        for m in speeds:
-            for n in speeds if function != "H" else (None,):
-                comp = FixedComponent(0, 1, 0, 0, [(rank, m)], [(rank, n)] if n else [],
-                                      numbers={"1": 1})
-                mode = "foliated" if function == "H" else "split"
-                exact_series(EquivariantModel(mode, rank, rank if n else 0, 0, [comp]),
-                             function, top)
-    assert sum(entry[2] for entry in equivariant._MOVING.values()) <= cap
-    equivariant._MOVING.clear()
 
 
 def full_static_series(comp, variant, order):
@@ -726,6 +672,48 @@ def test_values_far_along_the_real_tau_axis():
     for n in (1e12, 1e16, 1e308):
         assert abs(h_eval(model, 0.1, n + 1j) - base) < 1e-12, n
         assert abs(lefschetz_eval(model, 0.1, n + 1j) - base) < 1e-12, n
+
+
+def speed_model(function, m):
+    """One free point moving at speed m, its Fperp block too for G, G1 and G2."""
+    if function == "H":
+        return EquivariantModel("foliated", 1, 0, 0, [point([m])])
+    return EquivariantModel("split", 1, 1, 0, [point([m], [m])])
+
+
+def path_value(path, function, model, t, tau):
+    if path == "lefschetz":
+        return lefschetz_eval(model, t, tau, function)
+    return h_eval(model, t, tau) if function == "H" else g_eval(model, function, t, tau)
+
+
+@pytest.mark.parametrize("m", [10**6 + 1, 10**12 + 1, 10**15 + 1, 10**16 + 1])
+def test_a_large_speed_keeps_the_phase_of_s_t(m):
+    # every factor is 2-periodic in s t: speed m at t is speed 1 at m t mod 2,
+    # taken exactly from the binary value of t
+    t, tau = 0.1234567, 0.2 + 1j
+    reduced = float(Fraction(t) * m % 2)
+    for function in ("H", "G", "G1", "G2"):
+        for path in ("quotient", "lefschetz"):
+            got = path_value(path, function, speed_model(function, m), t, tau)
+            want = path_value(path, function, speed_model(function, 1), reduced, tau)
+            assert abs(got - want) <= 1e-12 * abs(want), (function, path)
+
+
+def test_a_far_real_t_keeps_the_phase_of_w():
+    # w = e^(pi i t) is 2-periodic in t, and 10^12 is even
+    t, tau = 10**12 + 0.1234567, 0.2 + 1j
+    reduced = t - 10**12
+    assert reduced == float(Fraction(t) % 2)
+    for function in ("H", "G", "G1", "G2"):
+        model = speed_model(function, 1)
+        for path in ("quotient", "lefschetz"):
+            want = path_value(path, function, model, reduced, tau)
+            got = path_value(path, function, model, t, tau)
+            assert abs(got - want) <= 1e-12 * abs(want), (function, path)
+        series = exact_series(model, function, 24)
+        want = series.eval(reduced, tau)
+        assert abs(series.eval(t, tau) - want) <= 1e-12 * abs(want), function
 
 
 def test_variant_half_sign_flip():

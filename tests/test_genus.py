@@ -31,7 +31,8 @@ from genusforge.ktheory import KClass, witten_element
 from genusforge.rings import RATIONAL
 from genusforge.series import QSeries
 
-from oracles import MPoly, naive_witten, partitions, qm_clean, qm_mul, split_monomials
+from oracles import (MPoly, naive_witten, partitions, qm_clean, qm_mul, split_monomials,
+                     term_strings)
 import referee
 
 Q = Fraction
@@ -86,7 +87,7 @@ def test_density_reduces_to_one_factor():
 
 
 def test_density_k3_strings():
-    assert index_density(K3).to_strings() == {"1": "1/1", "p1(F)": "-1/24"}
+    assert term_strings(index_density(K3)) == {"1": "1/1", "p1(F)": "-1/24"}
 
 
 def test_density_static_twist():
@@ -509,9 +510,9 @@ def test_missing_numbers_raise_only_when_some_slot_needs_them():
 def test_memoized_rows_match_the_cold_referee_in_any_order_sequence():
     # every key is built at some order and then served, grown and sliced
     # at orders in shuffled, descending and repeated sequences
-    from genusforge import ktheory
+    from genusforge import series
 
-    ktheory._ROWS.clear()
+    series._PREFIX_ROWS.clear()
     rng = random.Random(44)
     sequences = ([5, 2, 7, 3], [7, 5, 3, 1], [4, 4, 2, 4])
     keys = []
@@ -534,16 +535,16 @@ def test_memoized_rows_match_the_cold_referee_in_any_order_sequence():
                     density = referee.split_density(spec.F, spec.Fperp, kind, dim, order)
                 want = referee.paired(density, numbers)
                 assert (got.order, list(got.coeffs)) == (order, want), (kind, dim, order)
-    assert len(ktheory._ROWS) == len(keys)
+    assert sum(key[0] == "tower" for key in series._PREFIX_ROWS) == len(keys)
 
 
 def test_a_raising_order_leaves_lower_orders_reading_no_extra_number():
     # the order-3 pairing needs p1(F)^2 and raises; the rows it leaves in
     # the memo still read nothing for it at order 1
-    from genusforge import ktheory
+    from genusforge import series
     from genusforge.genus import _paired_series
 
-    ktheory._ROWS.clear()
+    series._PREFIX_ROWS.clear()
     rng = random.Random(43)
     full = _table(rng, split_monomials(8, 2, 2))
     spec = SplitManifoldSpec(8, 2, 2, _drop(full, "p1(F)^2"))
@@ -560,10 +561,10 @@ def test_a_raising_order_leaves_lower_orders_reading_no_extra_number():
 def test_a_vanishing_coefficient_reads_no_number_in_descending_order():
     # the cases of test_a_vanishing_coefficient_reads_no_number, served as
     # prefixes of the order-5 rows
-    from genusforge import ktheory
+    from genusforge import series
     from genusforge.genus import _paired_series
 
-    ktheory._ROWS.clear()
+    series._PREFIX_ROWS.clear()
     factor = [1, 0, 1, 0, 0]
     tangent = BundleRoots(4, None)
     base = genus_sequence(factor, 8, bundle=None, pairs=4)
@@ -573,59 +574,4 @@ def test_a_vanishing_coefficient_reads_no_number_in_descending_order():
         assert_reads_like_referee(
             density, 8, {"p2": Q(5), "p1^2": Q(-3)},
             lambda nums: _paired_series(nums, order, ((tangent, factor, "witten"),)))
-    assert len(ktheory._ROWS) == 1
-
-
-def test_one_benchmark_mix_fits_in_the_memo(monkeypatch):
-    # every (dim, splitting, job kind) of the genus-towers workload, built
-    # at order 1 into an unbounded memo: the distinct keys must fit the cap
-    import importlib.util
-    import pathlib
-
-    from genusforge import ktheory
-    from genusforge.genus import ahat_genus, l_genus
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    mix = workloads.GenusTowers
-    kinds = {job.kind for job in mix().make_round(0)}
-    assert set(mix.SERIES) | {"ahat", "l"} == kinds
-    cap = ktheory._ROWS_CAP
-    monkeypatch.setattr(ktheory, "_ROWS_CAP", 10**6)
-    ktheory._ROWS.clear()
-    for dim in mix.DIMS:
-        numbers = CharNumbers(dim, dict.fromkeys(tangent_keys(dim), 1))
-        witten_genus(numbers, 1)
-        ahat_genus(numbers)
-        l_genus(numbers)
-        for p in range(dim // 2 + 1):
-            r = dim // 2 - p
-            split = SplitManifoldSpec(dim, p, r, dict.fromkeys(split_monomials(dim, p, r), 1))
-            for variant in ("R", "R1", "R2"):
-                split_genus(split, variant, 1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegralityWarning)
-                subdirac_index(split, psi=witten_element(KClass.bundle(split.F, dim), 1))
-    assert len(ktheory._ROWS) <= cap
-    ktheory._ROWS.clear()
-
-
-def test_the_memo_is_bounded_and_least_recently_used():
-    from genusforge import ktheory
-
-    ktheory._ROWS.clear()
-    numbers = CharNumbers(4, {"p1": Q(3)})
-    first = witten_genus(numbers, 3)
-    # single-pair towers under fresh bundle names are distinct, cheap keys
-    for i in range(ktheory._ROWS_CAP + 5):
-        witten_element(KClass.bundle(BundleRoots(1, f"B{i}"), 4), 2)
-        assert len(ktheory._ROWS) <= ktheory._ROWS_CAP
-        if i % 16 == 0:
-            witten_genus(numbers, 2)  # a used key stays
-    assert len(ktheory._ROWS) == ktheory._ROWS_CAP
-    key = (4, True, ((2, None, "ahat", "witten", 1),))
-    assert key in ktheory._ROWS
-    assert all(type(row) is tuple for _, rows, _ in ktheory._ROWS.values() for _, row in rows)
-    assert list(witten_genus(numbers, 3).coeffs) == list(first.coeffs)
+    assert len(series._PREFIX_ROWS) == 1

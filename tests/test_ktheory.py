@@ -278,9 +278,9 @@ def test_twist_towers_match_factor_products():
 def test_memoized_towers_match_the_referee_in_any_order_sequence():
     # the rows of a key are built once and then grown or sliced: orders
     # in shuffled, descending and repeated sequences, keys interleaved
-    from genusforge import ktheory
+    from genusforge import series
 
-    ktheory._ROWS.clear()
+    series._PREFIX_ROWS.clear()
     rng = random.Random(21)
     cases = []
     for top in (4, 8, 12, 16):

@@ -355,3 +355,131 @@ def test_equality_uses_normalization():
     b = QSeries(RATIONAL, 1, [Fraction(1)], 4)
     # same known window end and same terms after stripping leading zeros
     assert a.normalized() == b.normalized()
+
+
+# -- the one prefix memo of the exact row tables ------------------------------
+
+
+def _held():
+    from genusforge import series
+
+    return sum(entry[2] for entry in series._PREFIX_ROWS.values())
+
+
+def _point(m, n=None):
+    from genusforge.equivariant import FixedComponent
+
+    return FixedComponent(0, 1, 0, 0, [(1, m)], [(1, n)] if n else [], numbers={"1": 1})
+
+
+def test_one_prefix_memo_holds_tower_and_moving_rows_under_one_bound(monkeypatch):
+    from genusforge import series
+    from genusforge.charclass import BundleRoots, CharNumbers
+    from genusforge.equivariant import _component_rows
+    from genusforge.genus import witten_genus
+    from genusforge.ktheory import KClass, witten_element
+
+    memo, cap = series._PREFIX_ROWS, 40
+    monkeypatch.setattr(series, "PREFIX_CAP", cap)
+    memo.clear()
+    numbers = CharNumbers(4, {"p1": Fraction(3)})
+    first, first_rows = witten_genus(numbers, 3), _component_rows(_point(1), "G", 6)
+    tower_key = ("tower", 4, True, ((2, None, "ahat", "witten", 1),))
+    moving_key = ("moving", (None, ((1, 1),), ()))
+    for i in range(40):
+        # single-pair towers under fresh bundle names and fresh speeds are
+        # distinct, cheap keys of both kinds, interleaved
+        witten_element(KClass.bundle(BundleRoots(1, f"B{i}"), 4), 2)
+        _component_rows(_point(i + 2), "G", 6)
+        assert _held() <= cap
+        if i % 4 == 0:
+            witten_genus(numbers, 2)  # used keys stay
+            _component_rows(_point(1), "G", 5)
+    # the least recently used keys of each kind left, the used ones stayed
+    assert tower_key in memo and moving_key in memo
+    assert ("tower", 4, False, ((1, "B0", None, "witten", 1),)) not in memo
+    assert ("moving", (None, ((1, 2),), ())) not in memo
+    assert _held() > cap - 10  # nothing left that the bound did not need to evict
+    # the keys carry their tag, so the two kinds never collide, and every
+    # held table is tuples: (rows, den) for a tower, rows for a moving key
+    assert {key[0] for key in memo} == {"tower", "moving"}
+    for key, (_, table, _) in memo.items():
+        rows = table if key[0] == "moving" else table[0]
+        assert type(rows) is tuple
+        assert all(type(row if key[0] == "moving" else row[1]) is tuple for row in rows)
+    same = ("payload",)
+    assert series.prefix_rows(("tower",) + same, 1, lambda order: ("t", 1)) == "t"
+    assert series.prefix_rows(("moving",) + same, 1, lambda order: ("m", 1)) == "m"
+    assert series.prefix_rows(("tower",) + same, 1, lambda order: ("x", 1)) == "t"
+    # a table past the bound is returned but not held, and evicts nothing
+    before = list(memo)
+    big = _component_rows(_point(3, 2), "G", 30)[0]
+    assert sum(map(len, big)) > cap and list(memo) == before
+    sixteen = CharNumbers(16, {k: Fraction(1) for k in ("p1^4", "p1^2*p2", "p2^2", "p1*p3", "p4")})
+    witten_genus(sixteen, 20)
+    assert list(memo) == before
+    # the answers after the evictions are the cold ones
+    assert list(witten_genus(numbers, 3).coeffs) == list(first.coeffs)
+    assert _component_rows(_point(1), "G", 6) == first_rows
+    memo.clear()
+
+
+def test_both_benchmark_mixes_fit_in_the_prefix_memo_at_their_largest_orders(monkeypatch):
+    # every (dim, splitting, job kind) of the genus-towers workload and every
+    # speed signature of the equivariant-exact workload, each at the largest
+    # order its jobs ask for, built into one unbounded memo: together they
+    # must fit the bound
+    import importlib.util
+    import pathlib
+    import warnings
+
+    from genusforge import genus, series
+    from genusforge.charclass import CharNumbers
+    from genusforge.equivariant import EquivariantModel, FixedComponent, exact_series
+    from genusforge.genus import (IntegralityWarning, SplitManifoldSpec, ahat_genus, l_genus,
+                                  split_genus, subdirac_index, witten_genus)
+    from genusforge.ktheory import KClass, witten_element
+
+    from oracles import split_monomials
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cap = series.PREFIX_CAP
+    monkeypatch.setattr(series, "PREFIX_CAP", 10**9)
+    series._PREFIX_ROWS.clear()
+    genus._base_pairing.cache_clear()
+
+    mix = workloads.GenusTowers
+    assert {job.kind for job in mix().make_round(0)} == set(mix.SERIES) | {"ahat", "l"}
+    order = max(hi for _, hi in mix.ORDER_BINS)
+    for dim in mix.DIMS:
+        tangent = workloads.untagged_monomials(dim)
+        numbers = CharNumbers(dim, dict.fromkeys(tangent, 1))
+        witten_genus(numbers, order)
+        ahat_genus(numbers)
+        l_genus(numbers)
+        for p in range(dim // 2 + 1):
+            r = dim // 2 - p
+            split = SplitManifoldSpec(dim, p, r, dict.fromkeys(split_monomials(dim, p, r), 1))
+            for variant in ("R", "R1", "R2"):
+                split_genus(split, variant, order)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegralityWarning)
+                subdirac_index(split, psi=witten_element(KClass.bundle(split.F, dim), order))
+    towers = _held()
+
+    speeds = range(1, 4)  # point_model's default max_speed
+    for function, (_, top), _, rank in workloads.EquivariantExact.MODEL_JOBS:
+        for m in speeds:
+            for n in speeds if function != "H" else (None,):
+                comp = FixedComponent(0, 1, 0, 0, [(rank, m)], [(rank, n)] if n else [],
+                                      numbers={"1": 1})
+                mode = "foliated" if function == "H" else "split"
+                exact_series(EquivariantModel(mode, rank, rank if n else 0, 0, [comp]),
+                             function, top)
+    kinds = {key[0] for key in series._PREFIX_ROWS}
+    assert kinds == {"tower", "moving"}
+    assert 0 < towers < _held() <= cap
+    series._PREFIX_ROWS.clear()

@@ -17,6 +17,7 @@ from genusforge.theta import (
     ThetaSeries,
     euler_eval,
     euler_product,
+    reduced_st,
     theta_eval,
     theta_prime0,
     theta_prime0_series,
@@ -268,3 +269,17 @@ def test_unknown_law_rejected():
         verify_transform(THETA, "U", grid())
     with pytest.raises(SchemaError):
         verify_transform(THETA, ("spiral", 2, 0), grid())
+
+
+def test_reduced_st_is_s_t_mod_2_rounded_once():
+    rng = random.Random(19)
+    for _ in range(300):
+        s = rng.choice((1, -1)) * rng.choice((1, 3, 10**6 + 1, 10**16 + 1, 2**70 + 1))
+        re = rng.choice((1, -1)) * rng.uniform(0, 1) * 10.0 ** rng.randint(-300, 300)
+        im = rng.uniform(-1, 1)
+        got = reduced_st(s, complex(re, im))
+        exact = Fraction(re) * s % 2
+        if exact >= 1:
+            exact -= 2
+        assert got.real == float(exact) and -1 <= got.real <= 1
+        assert got.imag == s * im
