@@ -26,8 +26,13 @@ over its own denominator.  The terms are folded as ExactSeries.__add__ would fol
 them (the tests' referee), and the sum is wrapped as an ExactSeries.  The numeric
 paths take their accuracy from tol alone: the static parts sum the Lambert
 series of their towers until the tail bound is below tol, and the moving
-blocks truncate their products when the dropped factors are.  The slash
-action and lattice shifts give numeric Jacobi-law residual reports.
+blocks truncate their products when the dropped factors are.  A value
+checks tau once and reads every component's q-powers from one theta.Nome;
+the quotients take the cancelled body form of the exact path (no q^(1/8),
+no 2 pi, c(q)^2 in place of four c(q)), and an evaluator keeps the nome
+of the last tau it saw, so a Jacobi sample and its lattice shifts share
+it.  The slash action and lattice shifts give numeric Jacobi-law residual
+reports.
 
 Moving blocks over a positive-dimensional component would need the
 expansion of the theta quotients in the roots of that block; both paths
@@ -61,6 +66,7 @@ from genusforge.theta import (
     THETA1,
     THETA2,
     THETA3,
+    Nome,
     _factor_count,
     body_factors,
     check_tau,
@@ -68,10 +74,7 @@ from genusforge.theta import (
     euler_factors,
     multiply_rows,
     reduced_st,
-    reduced_tau,
     rows_series,
-    theta_eval,
-    theta_prime0,
     unit_rows,
 )
 
@@ -438,6 +441,9 @@ class ExactSeries:
         """Numeric value: truncation error is of the size of the first
         dropped q-power.
 
+        Each w^e is e^(pi i e t) with e t reduced mod 2 exactly
+        (theta.reduced_st), so a large exponent keeps its phase.
+
         num and den are summed term by term, which cancels catastrophically
         near a pole, where den is (w - 1/w)^rank with w near 1.  A sum of
         terms x_i carries a rounding error of about eps sum |x_i|, so a
@@ -445,15 +451,26 @@ class ExactSeries:
         that of den, exceeds EVAL_TOL is a SchemaError.
         """
         tau = check_tau(tau)
-        w = cmath.exp(1j * math.pi * reduced_st(1, t))
-        r = abs(w)
-        den = complex(self.den(w))
-        den_mag = sum(abs(c) * r**e for e, c in self.den.items())
+        wpow = {}
+
+        def value(lz):
+            """(lz(w), sum |c w^e|), each w^e formed once as e^(pi i (e t mod 2))."""
+            acc, mag = 0j, 0.0
+            for e, c in lz.items():
+                p = wpow.get(e)
+                if p is None:
+                    p = wpow[e] = cmath.exp(1j * math.pi * reduced_st(e, t))
+                acc += complex(c) * p
+                mag += abs(c) * abs(p)
+            return acc, mag
+
+        den, den_mag = value(self.den)
         acc, mag = 0j, 0.0
         for expo, coeff in self.num.terms():
             qp = _qpow(tau, expo)
-            acc += complex(coeff(w)) * qp
-            mag += sum(abs(c) * r**e for e, c in coeff.items()) * abs(qp)
+            val, val_mag = value(coeff)
+            acc += val * qp
+            mag += val_mag * abs(qp)
         bound = sys.float_info.epsilon * (_relative(mag, acc) + _relative(den_mag, den))
         if not bound <= EVAL_TOL:
             raise SchemaError(
@@ -638,7 +655,11 @@ def check_poles(model: EquivariantModel, t, tau):
     and 600), and raised OverflowError or ValueError from 113 on.  Points
     past IM_ST_BOUND = 112 are a SchemaError.
     """
-    tauc = check_tau(tau)
+    _check_points(model, t, check_tau(tau))
+
+
+def _check_points(model: EquivariantModel, t, tauc: complex):
+    """check_poles at a tau that check_tau has already reduced."""
     tc = complex(t)
     if not cmath.isfinite(tc):
         raise SchemaError(f"t = {tc} is not finite")
@@ -662,41 +683,50 @@ def check_poles(model: EquivariantModel, t, tau):
             raise PoleError(f"speed {s} puts {s}*t = {x:.12g} mod 2 on a pole")
 
 
-def _w_eval(m, t, tau, tol) -> complex:
-    return theta_prime0(tau, tol) / (2j * math.pi * theta_eval(THETA, reduced_st(m, t), tau, tol))
+def _w_eval(m, t, nome: Nome) -> complex:
+    """theta'(0) / (2 pi i theta(x)) at x = m t, with the q^(1/8), the 2 pi
+    and two of the four c(q) factors cancelled: c(q)^2 / (2i sin(pi x) body_theta(z))."""
+    x = reduced_st(m, t)
+    z = cmath.exp(2j * math.pi * x)
+    return nome.euler_squared() / (2j * cmath.sin(math.pi * x) * nome.body(THETA, z))
 
 
-def _v_eval(variant, n, t, tau, tol) -> complex:
+def _v_eval(variant, n, t, nome: Nome) -> complex:
+    """theta'(0) theta_k(x) / (2 pi i theta(x) theta_k(0)) at x = n t, cancelled
+    as in _w_eval: c(q)^2 body_k(z) / (2i sin(pi x) body_theta(z) body_k(1)),
+    times 2 cos(pi x) for G (the doubled cos(pi x) / cos(0) of theta1)."""
     kind, x = _VARIANT_THETA[variant], reduced_st(n, t)
-    val = theta_prime0(tau, tol) * theta_eval(kind, x, tau, tol)
-    val /= 2j * math.pi * theta_eval(THETA, x, tau, tol) * theta_eval(kind, 0.0, tau, tol)
+    z = cmath.exp(2j * math.pi * x)
+    val = nome.euler_squared() * nome.body(kind, z)
+    val /= 2j * cmath.sin(math.pi * x) * nome.body(THETA, z) * nome.body_at_one(kind)
     if variant == "G":
-        val *= 2
+        val *= 2.0 * cmath.cos(math.pi * x)
     return val
 
 
-def _sum_values(model, variant, t, tau, tol, w_factor, v_factor):
+def _sum_values(model, variant, t, nome, w_factor, v_factor):
     """Sum over components of orientation x static value x moving factors.
 
-    check_poles bounds each factor, not their product, which leaves double
-    range from a total moving rank of 64 on: such a value is a SchemaError.
+    Every component reads its q-powers from the one nome.  check_poles
+    bounds each factor, not their product, which leaves double range from
+    a total moving rank of 64 on: such a value is a SchemaError.
     """
-    check_poles(model, t, tau)
+    _check_points(model, t, nome.tau)
     total = 0j
     for comp in model.components:
         _check_root_free(comp)
-        val = comp.orientation * _static_value(comp, variant, tau, tol)
+        val = comp.orientation * _static_value(comp, variant, nome.tau, nome.tol)
         try:
             for rank, m in comp.moving_f:
-                val *= w_factor(m, t, tau, tol) ** rank
+                val *= w_factor(m, t, nome) ** rank
             for rank, n in comp.moving_fperp:
-                val *= v_factor(variant, n, t, tau, tol) ** rank
+                val *= v_factor(variant, n, t, nome) ** rank
         except OverflowError:
             val = math.inf
         total += val
     if not cmath.isfinite(total):
         raise SchemaError(
-            f"the value at t = {complex(t)}, tau = {complex(tau)} is past the double-range "
+            f"the value at t = {complex(t)}, tau = {nome.tau} is past the double-range "
             f"bound {sys.float_info.max:.4g}"
         )
     return total
@@ -704,59 +734,75 @@ def _sum_values(model, variant, t, tau, tol, w_factor, v_factor):
 
 def h_eval(model: EquivariantModel, t, tau, tol: float = 1e-12) -> complex:
     """Numeric H(t, tau) through the theta quotients."""
-    return _sum_values(model, _variant(model, "H"), t, tau, tol, _w_eval, _v_eval)
+    return _sum_values(model, _variant(model, "H"), t, Nome(tau, tol), _w_eval, _v_eval)
 
 
 def g_eval(model: EquivariantModel, variant: str, t, tau, tol: float = 1e-12) -> complex:
     """Numeric G-variant value through the theta quotients."""
-    return _sum_values(model, _variant(model, variant), t, tau, tol, _w_eval, _v_eval)
+    return _sum_values(model, _variant(model, variant), t, Nome(tau, tol), _w_eval, _v_eval)
 
 
-def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12):
+class Evaluator:
+    """(t, tau) -> H or a G variant through the theta quotients.
+
+    The variant is resolved once.  The nome of the last tau is kept (one
+    entry), so the evaluations at one tau, such as a Jacobi sample and its
+    lattice shifts, share its q-powers, c(q)^2 and body_k(1).
+    """
+
+    __slots__ = ("model", "variant", "tol", "nome")
+
+    def __init__(self, model: EquivariantModel, function: str = "H", tol: float = 1e-12):
+        self.model = model
+        self.variant = _variant(model, function)
+        self.tol = tol
+        self.nome = None
+
+    def __call__(self, t, tau) -> complex:
+        tau = check_tau(tau)
+        if self.nome is None or self.nome.tau != tau:
+            self.nome = Nome(tau, self.tol)
+        return _sum_values(self.model, self.variant, t, self.nome, _w_eval, _v_eval)
+
+
+def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12) -> Evaluator:
     """A callable (t, tau) -> complex for H or a G variant."""
-    if function == "H":
-        return lambda t, tau: h_eval(model, t, tau, tol)
-    return lambda t, tau: g_eval(model, function, t, tau, tol)
+    return Evaluator(model, function, tol)
 
 
 # ---------------------------------------------------------------------------
 # the direct Lefschetz products: the same values from per-line factors
 
 
-def _w_direct(m, t, tau, tol) -> complex:
-    q = cmath.exp(2j * math.pi * reduced_tau(tau))
+def _w_direct(m, t, nome: Nome) -> complex:
     x = reduced_st(m, t)
     z = cmath.exp(2j * math.pi * x)
     grow = max(abs(z), 1 / abs(z), 1.0)
     out = 1 / (2 * cmath.sinh(1j * math.pi * x))
-    for k in range(1, _factor_count(abs(q), grow, tol) + 1):
-        qk = q**k
+    for qk in nome.powers(_factor_count(nome.absq, grow, nome.tol)):
         out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
     return out
 
 
-def _v_direct(variant, n, t, tau, tol) -> complex:
-    tau = reduced_tau(tau)
-    q = cmath.exp(2j * math.pi * tau)
+def _v_direct(variant, n, t, nome: Nome) -> complex:
     x = reduced_st(n, t)
     z = cmath.exp(2j * math.pi * x)
     grow = max(abs(z), 1 / abs(z), 1.0)
-    terms = _factor_count(abs(q) ** 0.5, grow, tol)
+    terms = _factor_count(nome.absq ** 0.5, grow, nome.tol)
     arg = 1j * math.pi * x
     if variant == "G":
         out = cmath.cosh(arg) / cmath.sinh(arg)
-    else:
-        out = 1 / (2 * cmath.sinh(arg))
-    for k in range(1, terms + 1):
-        qk = q**k
-        out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
-        if variant == "G":
+        for qk in nome.powers(terms):
+            out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
             out *= (1 + qk * z) * (1 + qk / z) / (1 + qk) ** 2
-        else:
-            # q^(k - 1/2) from tau: the principal power of q swaps G1 and G2 at |Re tau| > 1/2
-            qh = cmath.exp(2j * math.pi * tau * (k - 0.5))
-            sign = -1 if variant == "G1" else 1
-            out *= (1 + sign * qh * z) * (1 + sign * qh / z) / (1 + sign * qh) ** 2
+        return out
+    out = 1 / (2 * cmath.sinh(arg))
+    # q^(k - 1/2) from the nome's e^(pi i tau): the principal power of q swaps G1 and G2
+    # at |Re tau| > 1/2
+    sign = -1 if variant == "G1" else 1
+    for qk, qh in zip(nome.powers(terms), nome.powers(terms, half=True)):
+        out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
+        out *= (1 + sign * qh * z) * (1 + sign * qh / z) / (1 + sign * qh) ** 2
     return out
 
 
@@ -768,7 +814,7 @@ def lefschetz_eval(model: EquivariantModel, t, tau, function: str = "H",
     products, truncated when the dropped factors are below tol; this is
     the cross-check path for the theta-quotient evaluators.
     """
-    return _sum_values(model, _variant(model, function), t, tau, tol, _w_direct, _v_direct)
+    return _sum_values(model, _variant(model, function), t, Nome(tau, tol), _w_direct, _v_direct)
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +855,9 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
     worst = 0.0
     for t, tau in samples:
         base = fn(t, tau)
+        # the shifted values next, at the base's tau, so that an evaluator's nome serves them
+        shifted = [fn(complex(t) + meta.lattice * a * complex(tau) + meta.lattice * b, tau)
+                   for a, b in shifts]
         for mat in matrices:
             lhs = slash_value(fn, meta, mat, t, tau)
             residual = abs(lhs - base)
@@ -818,9 +867,8 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
                 "residual": residual,
             })
             worst = max(worst, residual)
-        for a, b in shifts:
+        for (a, b), lhs in zip(shifts, shifted):
             lam, mu = meta.lattice * a, meta.lattice * b
-            lhs = fn(complex(t) + lam * complex(tau) + mu, tau)
             rhs = shift_factor(meta, lam, t, tau) * base
             scale = max(1.0, abs(lhs), abs(rhs))
             residual = abs(lhs - rhs) / scale

@@ -65,12 +65,24 @@ _QZERO = Fraction(0)
 
 
 def laurent_mul(a: dict, b: dict) -> dict:
-    """Product of two sparse Laurent polynomials, convolved dense over their spans."""
+    """Product of two sparse Laurent polynomials, in ascending exponent order.
+
+    Convolved dense over their spans, or term by term where those spans
+    hold more slots than there are term pairs (a wide gap such as in
+    w^s - w^-s would cost memory in the span, not in the terms).
+    """
     if not a or not b:
         return {}
-    lo_a, lo_b = min(a), min(b)
-    out = convolve_full([a.get(e, 0) for e in range(lo_a, max(a) + 1)],
-                        [b.get(e, 0) for e in range(lo_b, max(b) + 1)], 0)
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    if hi_a - lo_a + hi_b - lo_b + 2 > len(a) * len(b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                out[e] = out.get(e, 0) + ca * cb
+        return {e: out[e] for e in sorted(out) if out[e]}
+    out = convolve_full([a.get(e, 0) for e in range(lo_a, hi_a + 1)],
+                        [b.get(e, 0) for e in range(lo_b, hi_b + 1)], 0)
     lo = lo_a + lo_b
     return {lo + i: c for i, c in enumerate(out) if c}
 

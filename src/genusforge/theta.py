@@ -10,6 +10,13 @@ The four kinds follow the product normalization
 with z = e^(2 pi i v) and c(q) = prod (1 - q^n).  The exact representation
 keeps c(q), the q^(1/8), and the trig factor symbolic so that quotients of
 thetas cancel them algebraically; only the z-product is expanded.
+
+Numeric values go through a Nome: one reduced tau at one tolerance, whose
+q-powers are formed by repeated multiplication (no exponential per
+factor) and whose c(q)^2 and body_k(1) are formed once.  The quotients of
+the equivariant genus functions read their bodies from it, with the same
+cancellations as the exact path; theta_eval, theta_prime0 and euler_eval
+are thin wrappers over the same loops.
 """
 
 from __future__ import annotations
@@ -236,48 +243,117 @@ def _factor_count(absq, grow, tol):
     return n
 
 
-def euler_eval(q: complex, tol: float = 1e-12) -> complex:
-    """Numeric c(q) by direct truncated product."""
-    n_max = _factor_count(abs(q), 1.0, tol)
+def _extend(powers: list, q: complex, n: int) -> list:
+    """The first n entries of a run of powers powers[k] = powers[0] q^k, grown
+    in place by repeated multiplication."""
+    if len(powers) < n:
+        p = powers[-1]
+        for _ in range(n - len(powers)):
+            p *= q
+            powers.append(p)
+    return powers[:n]
+
+
+def _euler(powers) -> complex:
     out = 1.0 + 0.0j
-    qn = q
-    for _ in range(n_max):
-        out *= 1.0 - qn
-        qn *= q
+    for p in powers:
+        out *= 1.0 - p
     return out
 
 
+class Nome:
+    """The q-powers of one tau at one tol, and the theta values shared by
+    every quotient at that tau.
+
+    tau is checked and reduced once (check_tau).  Each q^n comes from
+    q = e^(2 pi i tau) by repeated multiplication, and each q^(n - 1/2)
+    the same way from e^(pi i tau): the principal square root of q would
+    swap theta2 and theta3 at |Re tau| > 1/2.  A body product keeps the
+    _factor_count truncation, the factors that theta_eval took when it
+    formed each q-power with its own cmath.exp.  c(q)^2 and body_k(1) are
+    formed on first use and then kept.
+    """
+
+    __slots__ = ("tau", "tol", "q", "absq", "_whole", "_half", "_euler2", "_at_one")
+
+    def __init__(self, tau, tol: float = 1e-12):
+        self.tau = check_tau(tau)
+        self.tol = tol
+        self.q = cmath.exp(2j * math.pi * self.tau)
+        self.absq = abs(self.q)
+        self._whole = [self.q]
+        self._half = None
+        self._euler2 = None
+        self._at_one = {}
+
+    def powers(self, n: int, half: bool = False) -> list:
+        """q^1 .. q^n, or with half q^(1/2) .. q^(n - 1/2)."""
+        if not half:
+            return _extend(self._whole, self.q, n)
+        if self._half is None:
+            self._half = [cmath.exp(1j * math.pi * self.tau)]
+        return _extend(self._half, self.q, n)
+
+    def euler(self) -> complex:
+        """c(q) = prod (1 - q^n), truncated as euler_eval truncates it."""
+        return _euler(self.powers(_factor_count(self.absq, 1.0, self.tol)))
+
+    def euler_squared(self) -> complex:
+        """c(q)^2, formed once."""
+        if self._euler2 is None:
+            c = self.euler()
+            self._euler2 = c * c
+        return self._euler2
+
+    def body(self, kind, z: complex) -> complex:
+        """prod (1 + s q^e z)(1 + s q^e / z) over the kind's sign s and exponents e.
+
+        Each factor is taken as 1 + q^e (q^e + s (z + 1/z)), which is the
+        same product with one complex multiplication fewer.
+        """
+        sign, half = _BODY[kind]
+        zi = 1.0 / z
+        grow = 1.0 + max(abs(z), abs(zi))
+        zz = sign * (z + zi)
+        out = 1.0 + 0.0j
+        for p in self.powers(_factor_count(self.absq, grow, self.tol), half):
+            out *= 1.0 + p * (p + zz)
+        return out
+
+    def body_at_one(self, kind) -> complex:
+        """body_k(1), formed once per kind."""
+        out = self._at_one.get(kind)
+        if out is None:
+            out = self._at_one[kind] = self.body(kind, 1.0 + 0.0j)
+        return out
+
+
+def euler_eval(q: complex, tol: float = 1e-12) -> complex:
+    """Numeric c(q) by direct truncated product."""
+    return _euler(_extend([q], q, _factor_count(abs(q), 1.0, tol)))
+
+
 def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
-    """Numeric theta value from the product formula."""
+    """Numeric theta value from the product formula, over a Nome of tau."""
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
-    tau = check_tau(tau)
+    nome = Nome(tau, tol)
     v = complex(v)
-    q = cmath.exp(2j * cmath.pi * tau)
-    z = cmath.exp(2j * cmath.pi * v)
-    sign, half = _BODY[kind]
     c_power, q_offset, trig = _PREFIX[kind]
-    out = euler_eval(q, tol) ** c_power
+    out = nome.euler() ** c_power * nome.body(kind, cmath.exp(2j * math.pi * v))
     if q_offset:
-        out *= cmath.exp(2j * cmath.pi * tau * float(q_offset))
+        out *= cmath.exp(2j * math.pi * nome.tau * float(q_offset))
     if trig == "2sin":
-        out *= 2.0 * cmath.sin(cmath.pi * v)
+        out *= 2.0 * cmath.sin(math.pi * v)
     elif trig == "2cos":
-        out *= 2.0 * cmath.cos(cmath.pi * v)
-    grow = 1.0 + max(abs(z), 1.0 / abs(z))
-    n_max = _factor_count(abs(q), grow, tol)
-    for n in range(1, n_max + 1):
-        e = n - 0.5 if half else float(n)
-        qe = cmath.exp(2j * cmath.pi * tau * e)
-        out *= (1.0 + sign * qe * z) * (1.0 + sign * qe / z)
+        out *= 2.0 * cmath.cos(math.pi * v)
     return out
 
 
 def theta_prime0(tau, tol: float = 1e-12) -> complex:
     """d theta / dv at v = 0: 2 pi q^(1/8) c(q)^3."""
-    tau = check_tau(tau)
-    q = cmath.exp(2j * cmath.pi * tau)
-    return 2.0 * cmath.pi * cmath.exp(2j * cmath.pi * tau / 8.0) * euler_eval(q, tol) ** 3
+    nome = Nome(tau, tol)
+    return 2.0 * math.pi * cmath.exp(2j * math.pi * nome.tau / 8.0) * nome.euler() ** 3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ expansion, and direct product truncation.  No code is shared with the
 optimized paths under src/.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -430,6 +431,123 @@ def two_fixed_point_sum(weights, kind="dirac"):
             term = tanh_char(m)
         total = total.add(term)
     return total
+
+
+# ---------------------------------------------------------------------------
+# numeric theta referee: the product formulas with one cmath.exp per factor,
+# and point-model genus values from four-theta quotients and per-line products
+
+# kind: (sign inside the factors, exponents on n - 1/2, q-offset, trig factor)
+THETA_SHAPES = {
+    "theta": (-1, False, 1 / 8, "2sin"),
+    "theta1": (1, False, 1 / 8, "2cos"),
+    "theta2": (-1, True, 0.0, "1"),
+    "theta3": (1, True, 0.0, "1"),
+}
+VARIANT_KIND = {"G": "theta1", "G1": "theta2", "G2": "theta3"}
+
+
+def referee_count(absq, grow, tol):
+    """The factor count of the package's truncation: the smallest n >= 1
+    with absq^n grow <= tol / 10."""
+    bound = tol / 10.0
+    n, term = 1, absq * grow
+    while term > bound:
+        n += 1
+        term *= absq
+    return n
+
+
+def referee_qpow(tau, e):
+    return cmath.exp(2j * cmath.pi * tau * e)
+
+
+def referee_euler(tau, tol=1e-12):
+    """c(q) = prod (1 - q^n), each q^n its own exponential."""
+    out = 1.0 + 0.0j
+    for n in range(1, referee_count(abs(referee_qpow(tau, 1)), 1.0, tol) + 1):
+        out *= 1.0 - referee_qpow(tau, n)
+    return out
+
+
+def referee_theta(kind, v, tau, tol=1e-12):
+    """c(q) q^offset trig(v) prod (1 + s q^e z)(1 + s q^e / z)."""
+    sign, half, offset, trig = THETA_SHAPES[kind]
+    z = cmath.exp(2j * cmath.pi * v)
+    out = referee_euler(tau, tol) * referee_qpow(tau, offset)
+    if trig == "2sin":
+        out *= 2.0 * cmath.sin(cmath.pi * v)
+    elif trig == "2cos":
+        out *= 2.0 * cmath.cos(cmath.pi * v)
+    grow = 1.0 + max(abs(z), 1.0 / abs(z))
+    for n in range(1, referee_count(abs(referee_qpow(tau, 1)), grow, tol) + 1):
+        qe = referee_qpow(tau, n - 0.5 if half else n)
+        out *= (1.0 + sign * qe * z) * (1.0 + sign * qe / z)
+    return out
+
+
+def referee_prime0(tau, tol=1e-12):
+    return 2.0 * cmath.pi * referee_qpow(tau, 1 / 8) * referee_euler(tau, tol) ** 3
+
+
+def referee_quotient(x, tau, kind=None, tol=1e-12):
+    """theta'(0) / (2 pi i theta(x)), times theta_k(x) / theta_k(0) with a kind."""
+    out = referee_prime0(tau, tol) / (2j * cmath.pi * referee_theta("theta", x, tau, tol))
+    if kind is not None:
+        out *= referee_theta(kind, x, tau, tol) / referee_theta(kind, 0.0, tau, tol)
+    return out
+
+
+def referee_line(x, tau, variant=None, tol=1e-12):
+    """The per-line product of a moving block: 1 / (2 sinh(pi i x)), or the
+    variant's Fperp line, times its q-tower with one exponential per power."""
+    z = cmath.exp(2j * cmath.pi * x)
+    grow = max(abs(z), 1.0 / abs(z), 1.0)
+    absq = abs(referee_qpow(tau, 1))
+    arg = 1j * cmath.pi * x
+    if variant is None:
+        terms = referee_count(absq, grow, tol)
+        out = 1.0 / (2.0 * cmath.sinh(arg))
+    else:
+        terms = referee_count(absq ** 0.5, grow, tol)
+        out = cmath.cosh(arg) / cmath.sinh(arg) if variant == "G" else 1.0 / (2.0 * cmath.sinh(arg))
+    for k in range(1, terms + 1):
+        qk = referee_qpow(tau, k)
+        out *= (1.0 - qk) ** 2 / ((1.0 - qk * z) * (1.0 - qk / z))
+        if variant == "G":
+            out *= (1.0 + qk * z) * (1.0 + qk / z) / (1.0 + qk) ** 2
+        elif variant is not None:
+            qh = referee_qpow(tau, k - 0.5)
+            s = -1.0 if variant == "G1" else 1.0
+            out *= (1.0 + s * qh * z) * (1.0 + s * qh / z) / (1.0 + s * qh) ** 2
+    return out
+
+
+def referee_point_value(components, function, t, tau, path="quotient", tol=1e-12):
+    """(value, sum of |terms|) of H or a G variant on fixed points.
+
+    components: (weight, [(rank, m)], [(rank, n)]), the weight being the
+    orientation times the point's number; a term is the weight times one
+    moving factor per unit of rank.
+    """
+    variant = None if function == "H" else function
+    total, size = 0j, 0.0
+    for weight, moving_f, moving_fperp in components:
+        term = complex(weight)
+        for rank, m in moving_f:
+            if path == "quotient":
+                term *= referee_quotient(m * t, tau, tol=tol) ** rank
+            else:
+                term *= referee_line(m * t, tau, tol=tol) ** rank
+        for rank, n in moving_fperp:
+            if path == "quotient":
+                value = referee_quotient(n * t, tau, VARIANT_KIND[variant], tol)
+                term *= (2.0 * value if variant == "G" else value) ** rank
+            else:
+                term *= referee_line(n * t, tau, variant, tol) ** rank
+        total += term
+        size += abs(term)
+    return total, size
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,12 +36,13 @@ from genusforge.errors import MissingNumberError, PoleError, SchemaError
 from genusforge.ktheory import tower_slots
 from genusforge.rings import LAURENT, RATIONAL, LaurentZ
 from genusforge.series import QSeries
-from genusforge.theta import theta_eval, theta_prime0
+from genusforge.theta import check_tau, theta_eval, theta_prime0
 
 from oracles import (
     euler_product_oracle,
     exact_value,
     mat_mul,
+    referee_point_value,
     split_monomials,
     tadd,
     theta_body_oracle,
@@ -714,6 +718,121 @@ def test_a_far_real_t_keeps_the_phase_of_w():
         series = exact_series(model, function, 24)
         want = series.eval(reduced, tau)
         assert abs(series.eval(t, tau) - want) <= 1e-12 * abs(want), function
+
+
+def moving_blocks(rng, pairs):
+    """Seeded (rank, speed) blocks whose ranks sum to pairs, speeds up to 3 either way."""
+    out = []
+    while pairs:
+        rank = rng.randint(1, pairs)
+        out.append((rank, rng.choice((-1, 1)) * rng.randint(1, 3)))
+        pairs -= rank
+    return out
+
+
+def referee_model(rng, function):
+    """A seeded model of one to three fixed points, and its referee components."""
+    p, r = rng.randint(1, 2), 0 if function == "H" else rng.randint(1, 2)
+    comps, referee = [], []
+    for _ in range(rng.randint(1, 3)):
+        orientation, number = rng.choice((-1, 1)), rng.randint(1, 5)
+        f, fperp = moving_blocks(rng, p), moving_blocks(rng, r)
+        comps.append(FixedComponent(0, orientation, 0, 0, f, fperp, {"1": number}))
+        referee.append((orientation * number, f, fperp))
+    mode = "foliated" if function == "H" else "split"
+    return EquivariantModel(mode, p, r, 0, comps), referee
+
+
+def referee_point(rng, model):
+    """A seeded (t, tau): Im tau log-uniform from the 0.05 floor to 2, |Re tau|
+    up to 3, and every s t at least 0.05 from the lattice Z + tau Z."""
+    tau = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.05), math.log(2))))
+    while True:
+        t = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.05, 0.05))
+        for s in model.speeds():
+            y = s * t - round((s * t).imag / tau.imag) * tau
+            if abs(y - round(y.real)) < 0.05:
+                break
+        else:
+            return t, tau
+
+
+def test_values_match_the_exp_per_factor_referee():
+    # the referee forms each q-power with its own exponential and the quotient
+    # from four thetas; components of opposite orientation may cancel, so the
+    # error is measured against the sum of the terms' moduli
+    rng = random.Random(2021)
+    for _ in range(160):
+        function = rng.choice(("H", "G", "G1", "G2"))
+        model, referee = referee_model(rng, function)
+        t, tau = referee_point(rng, model)
+        for path in ("quotient", "lefschetz"):
+            want, size = referee_point_value(referee, function, t, tau, path)
+            got = path_value(path, function, model, t, tau)
+            assert abs(got - want) <= 1e-13 * size, (function, path, t, tau)
+
+
+def test_evaluator_keeps_the_nome_of_the_last_tau():
+    rng = random.Random(2022)
+    for function in ("H", "G", "G1", "G2"):
+        model, _ = referee_model(rng, function)
+        fn = evaluator(model, function)
+        assert fn.nome is None
+        for _ in range(4):
+            t, tau = referee_point(rng, model)
+            for shift in (0, 2 * tau, 2):
+                held = fn.nome
+                got = fn(t + shift, tau)
+                assert got == path_value("quotient", function, model, t + shift, tau)
+                assert fn.nome.tau == check_tau(tau)
+                if shift:
+                    assert fn.nome is held
+    # the variant is resolved when the evaluator is made
+    with pytest.raises(SchemaError):
+        evaluator(free_split_model(), "H")
+    with pytest.raises(SchemaError):
+        evaluator(free_point_model(), "G")
+
+
+@pytest.mark.parametrize("function", ["H", "G", "G1", "G2"])
+def test_exact_eval_keeps_the_phase_at_a_large_speed(function):
+    # each w^e is e^(pi i (e t mod 2)); a complex w**e put 1.8e-11 between H's paths here
+    t, tau = 0.1234567, 0.2 + 1j
+    model = speed_model(function, 10**6 + 1)
+    want = path_value("quotient", function, model, t, tau)
+    got = exact_series(model, function, 24).eval(t, tau)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+_HUGE_SPEED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+sys.path.insert(0, sys.argv[1])
+from genusforge.equivariant import EquivariantModel, FixedComponent, exact_series
+
+def model(function, m):
+    comp = FixedComponent(0, 1, 0, 0, moving_f=[(1, m)],
+                          moving_fperp=[] if function == "H" else [(1, m)], numbers={"1": 1})
+    return EquivariantModel("foliated" if function == "H" else "split", 1,
+                            0 if function == "H" else 1, 0, [comp])
+
+s = 10**9 + 1
+for function in ("H", "G", "G1", "G2"):
+    huge, one = exact_series(model(function, s), function, 24), exact_series(model(function, 1), function, 24)
+    assert huge.den.terms == {e * s: c for e, c in one.den.items()}, function
+    for a, b in zip(huge.num.coeffs, one.num.coeffs):
+        assert list(a.items()) == [(e * s, c) for e, c in b.items()], function
+print("ok")
+"""
+
+
+def test_a_huge_speed_series_is_the_speed_one_series_scaled():
+    # w-exponents 2 10^9 apart: the products must not be convolved dense over
+    # the gaps, so the run fits in a 1 GiB address space
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _HUGE_SPEED, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
 
 
 def test_variant_half_sign_flip():

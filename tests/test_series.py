@@ -262,6 +262,21 @@ def test_laurent_product_and_sum_match_dict_oracle():
         assert list((LaurentZ(a) * LaurentZ(b)).terms) == sorted(want_mul)
 
 
+def test_laurent_product_of_wide_gaps_is_the_same_ascending_map():
+    # spans wider than the term pairs are multiplied term by term, not convolved dense
+    rng = random.Random(3141)
+    for scale in (1, 7, 1000):
+        for _ in range(30):
+            a = {e * scale: c for e, c in random_laurent(rng).items() if c}
+            b = {e * scale + rng.randint(-2, 2): c for e, c in random_laurent(rng).items() if c}
+            got = laurent_mul(a, b)
+            assert got == wmul(a, b)
+            assert list(got) == sorted(got) and all(got.values())
+    # w^s - w^-s times w^s + w^-s cancels its middle term
+    s = 1001
+    assert list(laurent_mul({s: 1, -s: -1}, {-s: 1, s: 1}).items()) == [(-2 * s, -1), (2 * s, 1)]
+
+
 # -- exp and log ------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Theta bodies against product-expansion oracles and mpmath evaluation."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from genusforge.theta import (
     THETA1,
     THETA2,
     THETA3,
+    Nome,
     ThetaSeries,
     euler_eval,
     euler_product,
@@ -29,6 +31,10 @@ from oracles import (
     central_difference,
     dmul,
     euler_product_oracle,
+    referee_euler,
+    referee_prime0,
+    referee_qpow,
+    referee_theta,
     theta_body_oracle,
     tmul,
 )
@@ -153,6 +159,61 @@ def test_eval_matches_mpmath():
             q_nome = complex(mpmath.exp(1j * mpmath.pi * tau))
             ref = complex(mpmath.jtheta(_JT[kind], mpmath.pi * t, q_nome))
             assert abs(ours - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+def referee_grid(rng, count):
+    """Seeded (v, tau): Im tau log-uniform from the 0.05 floor to 2, |Re tau| up to 3."""
+    out = []
+    for _ in range(count):
+        tau = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.05), math.log(2))))
+        out.append((complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)), tau))
+    return out
+
+
+def test_eval_matches_the_exp_per_factor_referee():
+    # the nome forms q^n by repeated multiplication, the referee by one exp per factor
+    for v, tau in referee_grid(random.Random(2020), 400):
+        for kind in KINDS:
+            want = referee_theta(kind, v, tau)
+            assert abs(theta_eval(kind, v, tau) - want) <= 1e-13 * abs(want), (kind, v, tau)
+        want = referee_prime0(tau)
+        assert abs(theta_prime0(tau) - want) <= 1e-13 * abs(want), tau
+        q = cmath.exp(2j * cmath.pi * tau)
+        assert abs(euler_eval(q) - referee_euler(tau)) <= 1e-13 * abs(referee_euler(tau))
+
+
+def test_nome_powers_start_from_the_exponential_of_tau():
+    # q^(n - 1/2) grows from e^(pi i tau): past |Re tau| = 1/2 the principal
+    # square root of q is -e^(pi i tau), which would swap theta2 and theta3.
+    # Both runs lose about one rounding per unit of exponent: the products
+    # one per multiplication, the exponentials in the phase 2 pi Re(tau) e.
+    for tau in (0.7 + 0.05j, -1.3 + 0.4j, 2.9 + 0.8j):
+        nome = Nome(tau)
+        whole, half = nome.powers(120), nome.powers(120, half=True)
+        assert len(whole) == len(half) == 120
+        for n in range(1, 121):
+            for got, e in ((whole[n - 1], n), (half[n - 1], n - 0.5)):
+                want = referee_qpow(tau, e)
+                assert abs(got - want) <= 1e-14 * e * abs(want), (tau, e)
+        assert abs(half[0] + cmath.sqrt(nome.q)) < 1e-15
+        # a shorter run is a prefix of the held one
+        assert nome.powers(7) == whole[:7]
+
+
+def test_nome_keeps_its_shared_values():
+    nome = Nome(0.3 + 0.8j, 1e-10)
+    assert nome.tol == 1e-10
+    c2 = nome.euler_squared()
+    assert c2 is nome.euler_squared()
+    assert abs(c2 - nome.euler() ** 2) < 1e-15
+    for kind in KINDS:
+        one = nome.body_at_one(kind)
+        assert one is nome.body_at_one(kind)
+        assert one == nome.body(kind, 1.0 + 0.0j)
+    # the reduced tau: Re tau mod 8
+    assert Nome(16.25 + 0.8j).tau == Nome(0.25 + 0.8j).tau == 0.25 + 0.8j
+    with pytest.raises(SchemaError):
+        Nome(0.3 + 0.01j)
 
 
 def test_shift_by_one_flips_sign():
