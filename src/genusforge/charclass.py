@@ -351,7 +351,6 @@ def ser_inv(a, n):
     return series_inv(list(a), n, 1 / a[0], _Q0)
 
 
-@functools.lru_cache(maxsize=_CACHE_SMALL)
 def ahat_factor(top_degree: int) -> tuple:
     """Taylor coefficients of (a/2)/sinh(a/2) up to a**(top_degree//2)."""
     n = top_degree // 2 + 1
@@ -363,7 +362,6 @@ def ahat_factor(top_degree: int) -> tuple:
     return tuple(ser_inv(den, n))
 
 
-@functools.lru_cache(maxsize=_CACHE_SMALL)
 def l_factor(top_degree: int) -> tuple:
     """Taylor coefficients of a/tanh(a) up to a**(top_degree//2)."""
     n = top_degree // 2 + 1

@@ -82,8 +82,9 @@ POLE_TOL = 1e-8
 # bounds on pi Im(s t)^2 / Im(tau) and on |Im(s t)|, see check_poles
 GROWTH_BOUND = 690.0
 IM_ST_BOUND = 112.0
-# the relative rounding bound past which ExactSeries.eval refuses a value,
-# the tolerance the tests and the benchmark check values at
+# the relative truncation estimate and rounding bound past which
+# ExactSeries.eval refuses a value, the tolerance the tests and the
+# benchmark check values at
 EVAL_TOL = 1e-9
 
 # moving-Fperp theta kind and static Fperp twist tower per variant; the
@@ -438,17 +439,20 @@ class ExactSeries:
     __hash__ = None
 
     def eval(self, t, tau) -> complex:
-        """Numeric value: truncation error is of the size of the first
-        dropped q-power.
+        """Numeric value of the truncated series, refused past EVAL_TOL.
 
         Each w^e is e^(pi i e t) with e t reduced mod 2 exactly
         (theta.reduced_st), so a large exponent keeps its phase.
 
-        num and den are summed term by term, which cancels catastrophically
-        near a pole, where den is (w - 1/w)^rank with w near 1.  A sum of
-        terms x_i carries a rounding error of about eps sum |x_i|, so a
-        value whose relative bound, eps sum |x_i| / |sum x_i| of num plus
-        that of den, exceeds EVAL_TOL is a SchemaError.
+        The truncation error is estimated by the last whole q-step that is
+        kept: the summed moduli of the terms at exponents >= end - 1,
+        relative to |num|.  num and den are summed term by term, which
+        cancels catastrophically near a pole, where den is (w - 1/w)^rank
+        with w near 1.  A sum of terms x_i carries a rounding error of
+        about eps sum |x_i|, so the relative rounding bound is
+        eps sum |x_i| / |sum x_i| of num plus that of den.  A value whose
+        rounding bound or truncation estimate exceeds EVAL_TOL is a
+        SchemaError.
         """
         tau = check_tau(tau)
         wpow = {}
@@ -465,18 +469,23 @@ class ExactSeries:
             return acc, mag
 
         den, den_mag = value(self.den)
-        acc, mag = 0j, 0.0
+        acc, mag, last = 0j, 0.0, 0.0
+        tail = self.num.end_exponent - 1
         for expo, coeff in self.num.terms():
             qp = _qpow(tau, expo)
             val, val_mag = value(coeff)
             acc += val * qp
             mag += val_mag * abs(qp)
-        bound = sys.float_info.epsilon * (_relative(mag, acc) + _relative(den_mag, den))
-        if not bound <= EVAL_TOL:
-            raise SchemaError(
-                f"the exact series at t = {complex(t)}, tau = {complex(tau)} carries a relative "
-                f"rounding bound of {bound:.3g}, past the bound {EVAL_TOL:g}"
-            )
+            if expo >= tail:
+                last += abs(val * qp)
+        rounding = sys.float_info.epsilon * (_relative(mag, acc) + _relative(den_mag, den))
+        estimate = _relative(last, acc)
+        for what, size in (("rounding bound", rounding), ("truncation estimate", estimate)):
+            if not size <= EVAL_TOL:
+                raise SchemaError(
+                    f"the exact series at t = {complex(t)}, tau = {complex(tau)} carries a "
+                    f"relative {what} of {size:.3g}, past the bound {EVAL_TOL:g}"
+                )
         return acc / den
 
     def __repr__(self):
@@ -837,14 +846,18 @@ def shift_factor(meta: JacobiFormMeta, lam, t, tau) -> complex:
     )
 
 
+# the lattice shifts (a, b) of jacobi_residual
+_SHIFTS = ((1, 0), (0, 1))
+
+
 def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
-                    matrices=None, shifts=((1, 0), (0, 1))) -> dict:
+                    matrices=None) -> dict:
     """Residual report for the Jacobi transformation laws of fn.
 
     Matrix rows compare fn against its slash transform (absolute
-    residual).  Shift rows move t by meta.lattice * (a tau + b) and
-    compare against the elliptic factor; those values scale by the
-    factor's exponential, so their residuals are relative.
+    residual).  Shift rows move t by meta.lattice * (a tau + b), (a, b)
+    in _SHIFTS, and compare against the elliptic factor; those values
+    scale by the factor's exponential, so their residuals are relative.
     """
     samples = list(samples)
     matrices = [_check_matrix(m) for m in (matrices or GENERATORS[meta.subgroup])]
@@ -857,7 +870,7 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
         base = fn(t, tau)
         # the shifted values next, at the base's tau, so that an evaluator's nome serves them
         shifted = [fn(complex(t) + meta.lattice * a * complex(tau) + meta.lattice * b, tau)
-                   for a, b in shifts]
+                   for a, b in _SHIFTS]
         for mat in matrices:
             lhs = slash_value(fn, meta, mat, t, tau)
             residual = abs(lhs - base)
@@ -867,7 +880,7 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
                 "residual": residual,
             })
             worst = max(worst, residual)
-        for (a, b), lhs in zip(shifts, shifted):
+        for (a, b), lhs in zip(_SHIFTS, shifted):
             lam, mu = meta.lattice * a, meta.lattice * b
             rhs = shift_factor(meta, lam, t, tau) * base
             scale = max(1.0, abs(lhs), abs(rhs))

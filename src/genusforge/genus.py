@@ -29,10 +29,11 @@ every order to read a prefix of (series.prefix_rows); split_genus_value
 folds one-slot rows at every tau.  Every pairing reads only the numbers
 whose rows are nonzero within its order, through _paired, and sums them.
 subdirac_index pairs a series twist through the top degree alone: the
-base class Ahat(F) L(Fperp) is tower_rows' with no tower, its products
-cached per (dim, p, r), and per slot only those of degree dim are formed.
-index_density still builds the whole density from ahat_poly and l_poly
-(charclass.genus_sequence), the referee of these pairings.
+base class Ahat(F) L(Fperp) is slot 0 of tower_rows' no-tower key, and
+per twist monomial only its products of degree dim are formed, kept in
+one bounded cache (_top_products).  index_density still builds the whole
+density from ahat_poly and l_poly (charclass.genus_sequence), the
+referee of these pairings.
 """
 
 from __future__ import annotations
@@ -192,64 +193,45 @@ def _integrality(values, guaranteed: bool, label: str):
         )
 
 
-class _TopPairing:
-    """The base class Ahat(F) L(Fperp) of a splitting, set up for pairing.
+def _base_entries(p: int, r: int) -> tuple:
+    """The no-tower ktheory.tower_rows entries of the base class Ahat(F) L(Fperp)."""
+    return ((p, "F", "ahat", None, 1), (r, "Fperp", "l", None, 1))
 
-    The base is slot 0 of ktheory.tower_rows' no-tower key, kept by
-    degree, integer coefficients over one denominator.  products(m1) lists
-    the monomials m1 * m2 of degree dim, with m2 a base monomial, as
-    (m1 * m2, integer coefficient of m2), memoized per m1.  A pairing that finds more than
-    _PRODUCTS_CAP m1 known starts the memo afresh, so it stays bounded
-    whatever symbols the twists use.
+
+@functools.lru_cache(maxsize=4096)
+def _top_products(dim: int, p: int, r: int, m1) -> tuple:
+    """(m1 * m2, integer coefficient of m2) for the base monomials m2 of degree dim - deg m1.
+
+    The coefficients are slot 0 of the no-tower key, over its denominator;
+    the key may be held at a larger order, and slot 0 is the same at every
+    order.
     """
-
-    __slots__ = ("dim", "den", "by_degree", "memo")
-
-    def __init__(self, dim: int, p: int, r: int):
-        entries = ((p, "F", "ahat", None, 1), (r, "Fperp", "l", None, 1))
-        rows, self.den = tower_rows(dim, False, entries, 1)
-        self.dim = dim
-        self.by_degree = {}
-        for mono, row in rows:  # slot 0 alone: the key may be held at a larger order
-            if row[0]:
-                self.by_degree.setdefault(_mono_degree(mono), []).append((mono, row[0]))
-        self.memo = {}
-
-    def products(self, m1) -> tuple:
-        out = self.memo.get(m1)
-        if out is None:
-            out = self.memo[m1] = tuple(
-                (_mono_mul(m1, m2), a2)
-                for m2, a2 in self.by_degree.get(self.dim - _mono_degree(m1), ()))
-        return out
-
-    def pair(self, slots, numbers: CharNumbers) -> list:
-        """<c Ahat(F) L(Fperp), [M]> for every GradedPoly c of slots.
-
-        Only the products of degree dim are formed, collected per monomial
-        across the slots, and paired by _paired.
-        """
-        if len(self.memo) > _PRODUCTS_CAP:
-            self.memo = {}
-        acc, slot_dens = {}, []
-        for n, c in enumerate(slots):
-            sden = math.lcm(*(q.denominator for q in c.terms.values()))
-            slot_dens.append(sden)
-            for m1, c1 in c.terms.items():
-                a1 = c1.numerator * (sden // c1.denominator)
-                for mono, a2 in self.products(m1):
-                    row = acc.get(mono)
-                    if row is None:
-                        row = acc[mono] = [0] * len(slots)
-                    row[n] += a1 * a2
-        total, den = _paired(numbers, len(slots), acc.items(), self.den)
-        return [Fraction(t, den * sden) for t, sden in zip(total, slot_dens)]
+    rows, _ = tower_rows(dim, False, _base_entries(p, r), 1)
+    degree = dim - _mono_degree(m1)
+    return tuple((_mono_mul(m1, m2), row[0]) for m2, row in rows
+                 if row[0] and _mono_degree(m2) == degree)
 
 
-_PRODUCTS_CAP = 4096
+def _pair_top(spec: SplitManifoldSpec, slots) -> list:
+    """<c Ahat(F) L(Fperp), [M]> for every GradedPoly c of slots.
 
-
-_base_pairing = functools.lru_cache(maxsize=128)(_TopPairing)
+    Only the products of degree dim are formed (_top_products), collected
+    per monomial across the slots, and paired by _paired.
+    """
+    _, den = tower_rows(spec.dim, False, _base_entries(spec.p, spec.r), 1)
+    acc, slot_dens = {}, []
+    for n, c in enumerate(slots):
+        sden = math.lcm(*(q.denominator for q in c.terms.values()))
+        slot_dens.append(sden)
+        for m1, c1 in c.terms.items():
+            a1 = c1.numerator * (sden // c1.denominator)
+            for mono, a2 in _top_products(spec.dim, spec.p, spec.r, m1):
+                row = acc.get(mono)
+                if row is None:
+                    row = acc[mono] = [0] * len(slots)
+                row[n] += a1 * a2
+    total, den = _paired(spec.numbers, len(slots), acc.items(), den)
+    return [Fraction(t, den * sden) for t, sden in zip(total, slot_dens)]
 
 
 def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
@@ -259,20 +241,18 @@ def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
     Integrality is guaranteed by a spin F (the operator exists); with r = 0
     a spin M means the same thing.  Otherwise a warning is attached.
 
-    The value is index_density's, paired slot by slot; the base class is
-    cached per (dim, p, r) and only its top-degree products are formed.
+    The value is index_density's, paired slot by slot by _pair_top, which
+    forms only the top-degree products with the base class.
     """
     top = spec.dim
     static, series = _twists(psi, phi, top)
     guaranteed = spec.F_spin or (spec.r == 0 and spec.M_spin)
-    pairing = _base_pairing(top, spec.p, spec.r)
     if series is None:
-        (value,) = pairing.pair([GradedPoly.constant(1, top) if static is None else static],
-                                spec.numbers)
+        (value,) = _pair_top(spec, [GradedPoly.constant(1, top) if static is None else static])
         _integrality([value], guaranteed, "subdirac index")
         return value
     slots = series.coeffs if static is None else [c * static for c in series.coeffs]
-    out = QSeries(RATIONAL, series.offset, pairing.pair(slots, spec.numbers), series.order)
+    out = QSeries(RATIONAL, series.offset, _pair_top(spec, slots), series.order)
     _integrality(list(out.coeffs), guaranteed, "subdirac index")
     return out
 

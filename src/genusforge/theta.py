@@ -13,10 +13,11 @@ thetas cancel them algebraically; only the z-product is expanded.
 
 Numeric values go through a Nome: one reduced tau at one tolerance, whose
 q-powers are formed by repeated multiplication (no exponential per
-factor) and whose c(q)^2 and body_k(1) are formed once.  The quotients of
-the equivariant genus functions read their bodies from it, with the same
-cancellations as the exact path; theta_eval, theta_prime0 and euler_eval
-are thin wrappers over the same loops.
+factor) and whose c(q), c(q)^2 and body_k(1) are formed once.  The
+quotients of the equivariant genus functions read their bodies from it,
+with the same cancellations as the exact path; theta_eval, theta_prime0
+and euler_eval are thin wrappers over the same loops, and the lattice
+law of verify_transform reads both sides of a sample from one nome.
 """
 
 from __future__ import annotations
@@ -270,11 +271,11 @@ class Nome:
     the same way from e^(pi i tau): the principal square root of q would
     swap theta2 and theta3 at |Re tau| > 1/2.  A body product keeps the
     _factor_count truncation, the factors that theta_eval took when it
-    formed each q-power with its own cmath.exp.  c(q)^2 and body_k(1) are
-    formed on first use and then kept.
+    formed each q-power with its own cmath.exp.  c(q), c(q)^2 and
+    body_k(1) are formed on first use and then kept.
     """
 
-    __slots__ = ("tau", "tol", "q", "absq", "_whole", "_half", "_euler2", "_at_one")
+    __slots__ = ("tau", "tol", "q", "absq", "_whole", "_half", "_euler", "_euler2", "_at_one")
 
     def __init__(self, tau, tol: float = 1e-12):
         self.tau = check_tau(tau)
@@ -283,6 +284,7 @@ class Nome:
         self.absq = abs(self.q)
         self._whole = [self.q]
         self._half = None
+        self._euler = None
         self._euler2 = None
         self._at_one = {}
 
@@ -295,8 +297,10 @@ class Nome:
         return _extend(self._half, self.q, n)
 
     def euler(self) -> complex:
-        """c(q) = prod (1 - q^n), truncated as euler_eval truncates it."""
-        return _euler(self.powers(_factor_count(self.absq, 1.0, self.tol)))
+        """c(q) = prod (1 - q^n), truncated as euler_eval truncates it, formed once."""
+        if self._euler is None:
+            self._euler = _euler(self.powers(_factor_count(self.absq, 1.0, self.tol)))
+        return self._euler
 
     def euler_squared(self) -> complex:
         """c(q)^2, formed once."""
@@ -337,7 +341,11 @@ def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
     """Numeric theta value from the product formula, over a Nome of tau."""
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
-    nome = Nome(tau, tol)
+    return _theta_value(Nome(tau, tol), kind, v)
+
+
+def _theta_value(nome: Nome, kind, v) -> complex:
+    """theta_eval of a known kind over a given Nome."""
     v = complex(v)
     c_power, q_offset, trig = _PREFIX[kind]
     out = nome.euler() ** c_power * nome.body(kind, cmath.exp(2j * math.pi * v))
@@ -414,8 +422,9 @@ def verify_transform(kind, law, samples, tol: float = 1e-9) -> dict:
         neg_max = 0.0
         pos_max = 0.0
         for t, tau in samples:
-            lhs = theta_eval(kind, t + a * tau + b, tau)
-            base = theta_eval(kind, t, tau)
+            nome = Nome(tau)  # lhs and base share tau
+            lhs = _theta_value(nome, kind, t + a * tau + b)
+            base = _theta_value(nome, kind, t)
             rhs_neg = _lattice_factor(a, t, tau, -1) * base
             rhs_pos = _lattice_factor(a, t, tau, +1) * base
             scale_neg = max(1.0, abs(lhs), abs(rhs_neg))

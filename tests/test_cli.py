@@ -382,6 +382,36 @@ def test_exact_value_near_a_pole_is_right_or_refused(tmp_path):
         assert abs(complex(report["results"]["value"]) - want) <= 1e-9 * abs(want)
 
 
+def _hp2_points(a):
+    """HP^2 as three fixed points in split mode, p = 0, r = 4: point i has
+    rank-1 moving Fperp blocks of speeds a_i + a_j and a_i - a_j, j != i."""
+    return {"mode": "split", "p": 0, "r": 4, "l": 0, "components": [
+        {"dim": 0, "orientation": 1, "numbers": {"1": 1},
+         "moving_fperp": [[1, a[i] + s * a[j]] for j in range(3) if j != i for s in (1, -1)]}
+        for i in range(3)]}
+
+
+def test_exact_value_short_of_its_order_is_refused(tmp_path):
+    # at order 6 the truncated series printed 1.1527 against 0.0559516, 20x off
+    from genusforge.equivariant import EVAL_TOL, EquivariantModel, g_eval
+
+    payload = _hp2_points((1, 2, 4))
+    path = write_model(tmp_path, "hp2", payload)
+    point = ["--t", "0.1+0.02j", "--tau", "0.3j"]
+    for order in (6, 12, 24, 32):
+        code, report, _ = run(["equivariant", "G", "--model", path, "--exact",
+                               "--order", str(order)] + point)
+        assert code == 2, order
+        assert report["error"]["type"] == "SchemaError"
+        assert "truncation estimate" in report["error"]["message"]
+        assert f"bound {EVAL_TOL:g}" in report["error"]["message"]
+    code, report, _ = run(["equivariant", "G", "--model", path, "--exact", "--order", "48"]
+                          + point)
+    want = g_eval(EquivariantModel.from_json(payload), "G", 0.1 + 0.02j, 0.3j)
+    assert code == 0
+    assert abs(complex(report["results"]["value"]) - want) <= 1e-9 * abs(want)
+
+
 @pytest.mark.parametrize("case", sorted(_PAST_CAP))
 def test_request_past_cap_exit_2_naming_the_cap(tmp_path, case):
     argv, payload, cap = _PAST_CAP[case]
@@ -566,8 +596,8 @@ def test_order_belongs_to_exact_mode(free_point_file):
         code, report, _ = run(["equivariant", command, "--model", free_point_file] + point)
         assert code == 0 and "order" not in report["results"]
     code, report, _ = run(["equivariant", "H", "--model", free_point_file, "--exact",
-                           "--order", "3"] + point)
-    assert code == 0 and report["results"]["order"] == 3
+                           "--order", "12"] + point)
+    assert code == 0 and report["results"]["order"] == 12
 
 
 def test_jacobi_verify_has_no_order(capsys, free_point_file):

@@ -448,6 +448,35 @@ def test_subdirac_matches_slotwise_pairing_of_the_full_density():
         assert static == pair_fundamental(index_density(spec, psi=psi.coeffs[-1]), spec.numbers)
 
 
+def test_subdirac_pairs_right_when_no_base_row_is_held(monkeypatch):
+    # a prefix memo that holds nothing and a product cache emptied before
+    # every call: each product is read from a freshly built base key
+    from genusforge import genus, series
+
+    monkeypatch.setattr(series, "PREFIX_CAP", 0)
+    series._PREFIX_ROWS.clear()
+    rng = random.Random(44)
+    for dim, order in ((4, 9), (8, 7), (12, 7), (16, 5), (20, 5), (24, 5)):
+        p = rng.randint(1, dim // 2 - 1)
+        r = dim // 2 - p
+        spec = SplitManifoldSpec(dim, p, r, _table(rng, split_monomials(dim, p, r)))
+        psi = witten_element(KClass.bundle(spec.F, dim), order)
+        phi = witten_element(KClass.bundle(spec.Fperp, dim), order)
+        static = psi.coeffs[-1] + GradedPoly.constant(rng.randint(1, 5), dim)
+        for twists in ({"psi": static}, {"psi": psi}, {"psi": static, "phi": phi}):
+            genus._top_products.cache_clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IntegralityWarning)
+                got = subdirac_index(spec, **twists)
+            density = index_density(spec, **twists)
+            if isinstance(density, GradedPoly):
+                assert got == pair_fundamental(density, spec.numbers), (dim, p)
+            else:
+                want = [pair_fundamental(c, spec.numbers) for c in density.coeffs]
+                assert (got.order, list(got.coeffs)) == (order, want), (dim, p, twists)
+        assert not series._PREFIX_ROWS
+
+
 def test_cached_walks_match_the_referee_in_interleaved_order():
     # each (dim, splitting) comes back after others were built, so later
     # calls run on cached walks and moments

@@ -464,7 +464,7 @@ def test_both_benchmark_mixes_fit_in_the_prefix_memo_at_their_largest_orders(mon
     cap = series.PREFIX_CAP
     monkeypatch.setattr(series, "PREFIX_CAP", 10**9)
     series._PREFIX_ROWS.clear()
-    genus._base_pairing.cache_clear()
+    genus._top_products.cache_clear()
 
     mix = workloads.GenusTowers
     assert {job.kind for job in mix().make_round(0)} == set(mix.SERIES) | {"ahat", "l"}

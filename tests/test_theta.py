@@ -203,6 +203,9 @@ def test_nome_powers_start_from_the_exponential_of_tau():
 def test_nome_keeps_its_shared_values():
     nome = Nome(0.3 + 0.8j, 1e-10)
     assert nome.tol == 1e-10
+    c = nome.euler()
+    assert c is nome.euler()
+    assert c == euler_eval(nome.q, 1e-10)
     c2 = nome.euler_squared()
     assert c2 is nome.euler_squared()
     assert abs(c2 - nome.euler() ** 2) < 1e-15
@@ -316,6 +319,49 @@ def test_lattice_law_mixed_shift():
         report = verify_transform(kind, ("lattice", 2, 2), grid(), tol=1e-9)
         assert report["sign_convention"] == "negative"
         assert report["pass"]
+
+
+def _lattice_rows_per_call(kind, a, b, samples):
+    """The lattice law's sample rows with lhs and base each from its own theta_eval."""
+    rows = []
+    for t, tau in samples:
+        lhs = theta_eval(kind, t + a * tau + b, tau)
+        base = theta_eval(kind, t, tau)
+        res = {}
+        for sign, name in ((-1, "negative"), (1, "positive")):
+            rhs = cmath.exp(sign * 1j * cmath.pi * (a * a * tau + 2 * a * t)) * base
+            res[name] = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+        rows.append({"t": str(t), "tau": str(tau), "residual_negative": res["negative"],
+                     "residual_positive": res["positive"]})
+    return rows
+
+
+def test_lattice_law_reads_one_nome_per_sample(monkeypatch):
+    # lhs and base share tau, so one Nome serves both, with the very values
+    # that two theta_eval calls give
+    from genusforge import theta
+
+    built = []
+
+    class CountingNome(Nome):
+        __slots__ = ()
+
+        def __init__(self, tau, tol=1e-12):
+            built.append(tau)
+            super().__init__(tau, tol)
+
+    samples = grid() + [(0.2 - 0.1j, 2.7 + 0.05j), (0.45 + 0.02j, -5.5 + 3j)]
+    for kind in KINDS:
+        for a, b in ((2, 0), (0, 2), (2, 2), (-4, 2)):
+            want = _lattice_rows_per_call(kind, a, b, samples)
+            built.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(theta, "Nome", CountingNome)
+                report = verify_transform(kind, ("lattice", a, b), samples)
+            assert len(built) == len(samples)
+            assert report["samples"] == want
+            for name in ("negative", "positive"):
+                assert report[f"max_residual_{name}"] == max(r[f"residual_{name}"] for r in want)
 
 
 def test_lattice_law_rejects_odd_shifts():
