@@ -648,6 +648,8 @@ class CharNumbers:
         self.dim = int(dim)
         if self.dim < 0:
             raise DimensionError("negative dimension")
+        if spin is not None and not isinstance(spin, bool):
+            raise SchemaError(f"spin must be a JSON boolean or absent, not {spin!r}")
         self.spin = spin
         if not isinstance(numbers, dict):
             raise SchemaError("'numbers' must be an object of monomial keys")

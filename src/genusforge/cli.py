@@ -58,10 +58,10 @@ _FUNCTIONS = ("H", "G", "G1", "G2")
 # request caps, each measured at the cap on a 2-vCPU VM (Python 3.11.7):
 # --exact at order 64 and w-width 64 took at most 6.0 s (G, one Fperp
 # block of rank 64 at speed 1) and 31 MB; 1024 Jacobi samples took 0.6 s
-# and 29 MB on a model of fixed points and 3.0 s on a full static model
-# at dim 24, where every sample still sums the static towers at its tau
-# (the symbolic half of the pairing is built once); a 64x64 lattice grid
-# took 0.5 s and 34 MB.  DIM_CAP bounds the dim of every
+# and 29 MB on a model of fixed points and 2.7-3.7 s and 28 MB on a full
+# static model at dim 24 (65 numbers), which sums its static towers once
+# per tau, three times a sample (the symbolic half of the pairing is built
+# once); a 64x64 lattice grid took 0.5 s and 34 MB.  DIM_CAP bounds the dim of every
 # numbers table, split spec and fixed component: subdirac at order 64
 # took 0.6 s at dim 24 and 16.9 s at dim 40.  Dim 24 keeps the classic
 # dimension of the Witten genus.

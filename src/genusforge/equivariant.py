@@ -26,13 +26,13 @@ over its own denominator.  The terms are folded as ExactSeries.__add__ would fol
 them (the tests' referee), and the sum is wrapped as an ExactSeries.  The numeric
 paths take their accuracy from tol alone: the static parts sum the Lambert
 series of their towers until the tail bound is below tol, and the moving
-blocks truncate their products when the dropped factors are.  A value
-checks tau once and reads every component's q-powers from one theta.Nome;
-the quotients take the cancelled body form of the exact path (no q^(1/8),
-no 2 pi, c(q)^2 in place of four c(q)), and an evaluator keeps the nome
-of the last tau it saw, so a Jacobi sample and its lattice shifts share
-it.  The slash action and lattice shifts give numeric Jacobi-law residual
-reports.
+blocks truncate their products when the dropped factors are.  One
+Evaluator sums every numeric value: it checks tau once and reads every
+component's q-powers from one theta.Nome, the quotients take the cancelled
+body form of the exact path (no q^(1/8), no 2 pi, c(q)^2 in place of four
+c(q)), and it keeps the nome and static values of the last tau it saw, so
+a Jacobi sample and its lattice shifts share them.  The slash action and
+lattice shifts give numeric Jacobi-law residual reports.
 
 Moving blocks over a positive-dimensional component would need the
 expansion of the theta quotients in the roots of that block; both paths
@@ -373,13 +373,6 @@ def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
     return split_genus(comp.static, _VARIANT_TWIST[variant], order)
 
 
-def _static_value(comp: FixedComponent, variant: str, tau, tol: float) -> complex:
-    """The paired static density at tau, within tol of its Lambert sums."""
-    if comp.dim == 0:
-        return complex(comp.numbers["1"])
-    return split_genus_value(comp.static, _VARIANT_TWIST[variant], tau, tol)
-
-
 # ---------------------------------------------------------------------------
 # exact expansions: Laurent coefficients in w = e^(pi i t)
 
@@ -651,9 +644,9 @@ def check_poles(model: EquivariantModel, t, tau):
     grow like exp(pi Im(s t)^2 / Im(tau)), which leaves double range near
     exp(709): the quotient path returned NaN or raised from 706 on (Im tau
     from the 0.05 floor to 20, every genus function).  Points past
-    GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and an
-    s t past double range.  Im(s t)^2 is taken as a product, so a huge
-    Im(s t) reads as past the bound, not as an overflow.
+    GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and a
+    speed or s t past double range.  Im(s t)^2 is taken as a product, so
+    a huge Im(s t) reads as past the bound, not as an overflow.
 
     A large Im(tau) admits a large Im(s t) under that bound, but the
     theta factors form e^(2 pi i s t) on its own, which leaves double
@@ -664,16 +657,20 @@ def check_poles(model: EquivariantModel, t, tau):
     and 600), and raised OverflowError or ValueError from 113 on.  Points
     past IM_ST_BOUND = 112 are a SchemaError.
     """
-    _check_points(model, t, check_tau(tau))
+    _check_points(model.speeds(), t, check_tau(tau))
 
 
-def _check_points(model: EquivariantModel, t, tauc: complex):
-    """check_poles at a tau that check_tau has already reduced."""
+def _check_points(speeds, t, tauc: complex):
+    """check_poles over a model's speeds, at a tau that check_tau has already reduced."""
     tc = complex(t)
     if not cmath.isfinite(tc):
         raise SchemaError(f"t = {tc} is not finite")
-    for s in model.speeds():
-        if not cmath.isfinite(s * tc):
+    for s in speeds:
+        try:
+            finite = cmath.isfinite(s * tc)
+        except OverflowError:  # s itself is past double range
+            finite = False
+        if not finite:
             raise SchemaError(f"speed {s} puts {s}*t past double range")
         x = reduced_st(s, tc)
         growth = math.pi * x.imag * x.imag / tauc.imag
@@ -713,74 +710,7 @@ def _v_eval(variant, n, t, nome: Nome) -> complex:
     return val
 
 
-def _sum_values(model, variant, t, nome, w_factor, v_factor):
-    """Sum over components of orientation x static value x moving factors.
-
-    Every component reads its q-powers from the one nome.  check_poles
-    bounds each factor, not their product, which leaves double range from
-    a total moving rank of 64 on: such a value is a SchemaError.
-    """
-    _check_points(model, t, nome.tau)
-    total = 0j
-    for comp in model.components:
-        _check_root_free(comp)
-        val = comp.orientation * _static_value(comp, variant, nome.tau, nome.tol)
-        try:
-            for rank, m in comp.moving_f:
-                val *= w_factor(m, t, nome) ** rank
-            for rank, n in comp.moving_fperp:
-                val *= v_factor(variant, n, t, nome) ** rank
-        except OverflowError:
-            val = math.inf
-        total += val
-    if not cmath.isfinite(total):
-        raise SchemaError(
-            f"the value at t = {complex(t)}, tau = {nome.tau} is past the double-range "
-            f"bound {sys.float_info.max:.4g}"
-        )
-    return total
-
-
-def h_eval(model: EquivariantModel, t, tau, tol: float = 1e-12) -> complex:
-    """Numeric H(t, tau) through the theta quotients."""
-    return _sum_values(model, _variant(model, "H"), t, Nome(tau, tol), _w_eval, _v_eval)
-
-
-def g_eval(model: EquivariantModel, variant: str, t, tau, tol: float = 1e-12) -> complex:
-    """Numeric G-variant value through the theta quotients."""
-    return _sum_values(model, _variant(model, variant), t, Nome(tau, tol), _w_eval, _v_eval)
-
-
-class Evaluator:
-    """(t, tau) -> H or a G variant through the theta quotients.
-
-    The variant is resolved once.  The nome of the last tau is kept (one
-    entry), so the evaluations at one tau, such as a Jacobi sample and its
-    lattice shifts, share its q-powers, c(q)^2 and body_k(1).
-    """
-
-    __slots__ = ("model", "variant", "tol", "nome")
-
-    def __init__(self, model: EquivariantModel, function: str = "H", tol: float = 1e-12):
-        self.model = model
-        self.variant = _variant(model, function)
-        self.tol = tol
-        self.nome = None
-
-    def __call__(self, t, tau) -> complex:
-        tau = check_tau(tau)
-        if self.nome is None or self.nome.tau != tau:
-            self.nome = Nome(tau, self.tol)
-        return _sum_values(self.model, self.variant, t, self.nome, _w_eval, _v_eval)
-
-
-def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12) -> Evaluator:
-    """A callable (t, tau) -> complex for H or a G variant."""
-    return Evaluator(model, function, tol)
-
-
-# ---------------------------------------------------------------------------
-# the direct Lefschetz products: the same values from per-line factors
+# the direct Lefschetz products: the same moving factors from per-line products
 
 
 def _w_direct(m, t, nome: Nome) -> complex:
@@ -815,6 +745,80 @@ def _v_direct(variant, n, t, nome: Nome) -> complex:
     return out
 
 
+# the (moving F, moving Fperp) factors of each numeric path
+_PATHS = {"quotient": (_w_eval, _v_eval), "lefschetz": (_w_direct, _v_direct)}
+
+
+class Evaluator:
+    """(t, tau) -> H or a G variant: the one sum of a numeric genus value.
+
+    Each component adds its signed static value times its moving factors:
+    the theta quotients on the "quotient" path, the direct per-line
+    products on the "lefschetz" path.  The variant, the root-free check,
+    the speeds and the factor pair are settled once per model.  The
+    theta.Nome and the signed static values (a point's is its number) are
+    kept for the last tau, so a Jacobi sample and its lattice shifts share
+    them.  A call checks t and forms the moving factors.  check_poles
+    bounds each factor, not their product, which leaves double range from
+    a total moving rank of 64 on: such a value is a SchemaError.
+    """
+
+    __slots__ = ("model", "variant", "tol", "speeds", "factors", "nome", "statics")
+
+    def __init__(self, model: EquivariantModel, function: str = "H", tol: float = 1e-12,
+                 path: str = "quotient"):
+        self.model = model
+        self.variant = _variant(model, function)
+        for comp in model.components:
+            _check_root_free(comp)
+        self.tol = tol
+        self.speeds = model.speeds()
+        self.factors = _PATHS[path]
+        self.nome = self.statics = None
+
+    def __call__(self, t, tau) -> complex:
+        tau = check_tau(tau)
+        _check_points(self.speeds, t, tau)
+        if self.nome is None or self.nome.tau != tau:
+            nome, twist = Nome(tau, self.tol), _VARIANT_TWIST[self.variant]
+            self.statics = [comp.orientation * (complex(comp.numbers["1"]) if comp.dim == 0
+                                                else split_genus_value(comp.static, twist, nome))
+                            for comp in self.model.components]
+            self.nome = nome
+        nome, (w_factor, v_factor) = self.nome, self.factors
+        total = 0j
+        for comp, val in zip(self.model.components, self.statics):
+            try:
+                for rank, m in comp.moving_f:
+                    val *= w_factor(m, t, nome) ** rank
+                for rank, n in comp.moving_fperp:
+                    val *= v_factor(self.variant, n, t, nome) ** rank
+            except OverflowError:
+                val = math.inf
+            total += val
+        if not cmath.isfinite(total):
+            raise SchemaError(
+                f"the value at t = {complex(t)}, tau = {tau} is past the double-range "
+                f"bound {sys.float_info.max:.4g}"
+            )
+        return total
+
+
+def evaluator(model: EquivariantModel, function: str = "H", tol: float = 1e-12) -> Evaluator:
+    """A callable (t, tau) -> complex for H or a G variant through the theta quotients."""
+    return Evaluator(model, function, tol)
+
+
+def h_eval(model: EquivariantModel, t, tau, tol: float = 1e-12) -> complex:
+    """Numeric H(t, tau) through the theta quotients."""
+    return Evaluator(model, "H", tol)(t, tau)
+
+
+def g_eval(model: EquivariantModel, variant: str, t, tau, tol: float = 1e-12) -> complex:
+    """Numeric G-variant value through the theta quotients."""
+    return Evaluator(model, variant, tol)(t, tau)
+
+
 def lefschetz_eval(model: EquivariantModel, t, tau, function: str = "H",
                    tol: float = 1e-12) -> complex:
     """The same genus value from literal per-line infinite products.
@@ -823,7 +827,7 @@ def lefschetz_eval(model: EquivariantModel, t, tau, function: str = "H",
     products, truncated when the dropped factors are below tol; this is
     the cross-check path for the theta-quotient evaluators.
     """
-    return _sum_values(model, _variant(model, function), t, Nome(tau, tol), _w_direct, _v_direct)
+    return Evaluator(model, function, tol, "lefschetz")(t, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -850,20 +854,15 @@ def shift_factor(meta: JacobiFormMeta, lam, t, tau) -> complex:
 _SHIFTS = ((1, 0), (0, 1))
 
 
-def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
-                    matrices=None) -> dict:
+def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8) -> dict:
     """Residual report for the Jacobi transformation laws of fn.
 
-    Matrix rows compare fn against its slash transform (absolute
-    residual).  Shift rows move t by meta.lattice * (a tau + b), (a, b)
-    in _SHIFTS, and compare against the elliptic factor; those values
+    Matrix rows compare fn with its slash by each generator of the subgroup
+    (absolute residual).  Shift rows move t by meta.lattice * (a tau + b),
+    (a, b) in _SHIFTS, and compare against the elliptic factor; those values
     scale by the factor's exponential, so their residuals are relative.
     """
     samples = list(samples)
-    matrices = [_check_matrix(m) for m in (matrices or GENERATORS[meta.subgroup])]
-    for mat in matrices:
-        if not subgroup_member(meta.subgroup, mat):
-            raise SchemaError(f"matrix {mat} lies outside {meta.subgroup}")
     rows = []
     worst = 0.0
     for t, tau in samples:
@@ -871,7 +870,7 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8,
         # the shifted values next, at the base's tau, so that an evaluator's nome serves them
         shifted = [fn(complex(t) + meta.lattice * a * complex(tau) + meta.lattice * b, tau)
                    for a, b in _SHIFTS]
-        for mat in matrices:
+        for mat in GENERATORS[meta.subgroup]:
             lhs = slash_value(fn, meta, mat, t, tau)
             residual = abs(lhs - base)
             rows.append({

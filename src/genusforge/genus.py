@@ -38,7 +38,6 @@ referee of these pairings.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -57,7 +56,7 @@ from genusforge.errors import SchemaError
 from genusforge.ktheory import power_rows, tower_rows, tower_values
 from genusforge.rings import RATIONAL, as_int
 from genusforge.series import QSeries
-from genusforge.theta import reduced_tau
+from genusforge.theta import Nome
 
 
 class IntegralityWarning(UserWarning):
@@ -103,8 +102,9 @@ class SplitManifoldSpec:
                     f"number key uses {kind}{index}{tag}, not supported by the splitting"
                 )
         self.numbers = numbers
-        self.F_spin = bool(f_spin)
-        self.M_spin = bool(m_spin)
+        if not (isinstance(f_spin, bool) and isinstance(m_spin, bool)):
+            raise SchemaError(f"f_spin and m_spin must be JSON booleans: {f_spin!r}, {m_spin!r}")
+        self.F_spin, self.M_spin = f_spin, m_spin
 
     @property
     def p(self) -> int:
@@ -340,15 +340,15 @@ def split_genus(spec: SplitManifoldSpec, variant: str, order: int) -> QSeries:
     return _paired_series(spec.numbers, order, _split_towers(spec, variant))
 
 
-def split_genus_value(spec: SplitManifoldSpec, variant: str, tau, tol: float) -> complex:
-    """split_genus summed at tau rather than truncated.
+def split_genus_value(spec: SplitManifoldSpec, variant: str, nome: Nome) -> complex:
+    """split_genus summed at the nome's tau rather than truncated.
 
-    Each tower value is within tol of its infinite Lambert sum
-    (ktheory.tower_values), and the pairing is split_genus's with one slot.
+    Each tower is summed at x = e^(pi i tau), the nome's first half power,
+    to within nome.tol (ktheory.tower_values), and paired as in split_genus.
     """
-    x = cmath.exp(1j * math.pi * reduced_tau(tau))
+    (x,) = nome.powers(1, half=True)
     entries = _entries(_split_towers(spec, variant))
-    values = [[[v] for v in tower_values(entry[3], x, spec.dim, tol)] for entry in entries]
+    values = [[[v] for v in tower_values(entry[3], x, spec.dim, nome.tol)] for entry in entries]
     rows, den = power_rows(spec.dim, True, entries, values, 1)
     (value,), den = _paired(spec.numbers, 1, rows, den)
     return value / den

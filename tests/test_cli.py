@@ -110,6 +110,13 @@ def _free_point_of_rank(rank):
     return {"mode": "foliated", "p": rank, "r": 0, "components": [comp]}
 
 
+def _spin_spec(**flags):
+    spec = {"dim": 4, "f_pairs": 2, "fperp_pairs": 0, "numbers": {"p1(F)": "3/1"}}
+    spec.update(flags)
+    return spec
+
+
+_SUBDIRAC = ["genus", "compute", "--genus", "subdirac", "--order", "1", "--spec"]
 _RANGE_POINT = ["--t", "0.2137+0.0123j", "--tau", "0.1+1j", "--model"]
 _THETA = ["theta", "check", "--kind", "theta", "--law", "S"]
 
@@ -270,6 +277,28 @@ _MALFORMED = {
     "speed_3_t_past_double_range": (
         ["equivariant", "H", "--t", "1e308", "--tau", "1j", "--model"],
         _bool_point(moving_f=[{"rank": 1, "m": 3}]),
+    ),
+    # a speed past double range, which valid JSON allows: OverflowError
+    "speed_past_double_range": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"],
+        _bool_point(moving_f=[{"rank": 1, "m": 10**400}]),
+    ),
+    "lefschetz_speed_past_double_range": (
+        ["equivariant", "lefschetz", "--t", "0.1", "--tau", "1j", "--model"],
+        _bool_point(moving_f=[{"rank": 1, "m": 10**400}]),
+    ),
+    "jacobi_speed_past_double_range": (
+        ["jacobi", "verify", "--samples", "2", "--model"],
+        _bool_point(moving_f=[{"rank": 1, "m": 10**400}]),
+    ),
+    # spin flags are JSON booleans: bool("false") is true
+    "f_spin_string_false": (_SUBDIRAC, _spin_spec(f_spin="false")),
+    "f_spin_string_no": (_SUBDIRAC, _spin_spec(f_spin="no")),
+    "f_spin_zero": (_SUBDIRAC, _spin_spec(f_spin=0)),
+    "m_spin_string_false": (_SUBDIRAC, _spin_spec(m_spin="false")),
+    "numbers_spin_string_false": (
+        ["genus", "compute", "--genus", "witten", "--order", "1", "--spec"],
+        {"dim": 4, "numbers": {"p1": 3}, "spin": "false"},
     ),
     # keys that name one monomial twice, or a factor to the power 0
     "numbers_same_monomial": (

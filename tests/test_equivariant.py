@@ -15,6 +15,7 @@ from genusforge.equivariant import (
     MAT_S,
     MAT_T,
     EquivariantModel,
+    Evaluator,
     ExactSeries,
     FixedComponent,
     JacobiFormMeta,
@@ -36,7 +37,7 @@ from genusforge.errors import MissingNumberError, PoleError, SchemaError
 from genusforge.ktheory import tower_slots
 from genusforge.rings import LAURENT, RATIONAL, LaurentZ
 from genusforge.series import QSeries
-from genusforge.theta import check_tau, theta_eval, theta_prime0
+from genusforge.theta import Nome, check_tau, theta_eval, theta_prime0
 
 from oracles import (
     euler_product_oracle,
@@ -794,6 +795,57 @@ def test_evaluator_keeps_the_nome_of_the_last_tau():
         evaluator(free_point_model(), "G")
 
 
+def test_a_jacobi_report_sums_each_static_tower_once_per_tau(monkeypatch):
+    # a sample and its two lattice shifts share one tau, so the evaluator sums
+    # each tower once per run of one tau, not once per evaluation
+    import genusforge.genus
+
+    calls = []
+    tower_values = genusforge.genus.tower_values
+    monkeypatch.setattr(genusforge.genus, "tower_values",
+                        lambda *args: calls.append(args[0]) or tower_values(*args))
+    rng = random.Random(26)
+    model = static_model("G", 8, 2, static_numbers(8, 2, rng))
+    meta = form_meta(model, "G")
+    samples = [(complex(rng.uniform(0.12, 0.42), rng.uniform(-0.08, 0.08)),
+                complex(rng.uniform(-0.3, 0.3), rng.uniform(0.6, 1.6))) for _ in range(6)]
+    report = jacobi_residual(evaluator(model, "G"), meta, samples)
+    # the taus in the order jacobi_residual evaluates them: the sample's, then its slash images
+    generators = GENERATORS[meta.subgroup]
+    taus = []
+    for _, tau in samples:
+        taus.append(check_tau(tau))
+        taus += [check_tau((a * tau + b) / (c * tau + d)) for (a, b), (c, d) in generators]
+    runs = 1 + sum(x != y for x, y in zip(taus, taus[1:]))
+    assert runs == len(samples) * (1 + len(generators))
+    assert len(calls) == 2 * runs  # the F and the Fperp tower
+    assert len(report["rows"]) == len(samples) * (len(generators) + 2)
+    # a fresh evaluator per point gives the same rows, bit for bit
+    fresh = jacobi_residual(lambda t, tau: Evaluator(model, "G")(t, tau), meta, samples)
+    assert fresh == report
+
+
+def test_the_eval_entry_points_equal_an_evaluator_bit_for_bit():
+    # h_eval, g_eval and lefschetz_eval, a fresh Evaluator per point, and one
+    # Evaluator held across taus all give the same value
+    rng = random.Random(2026)
+    models = []
+    for function in ("H", "G", "G1", "G2"):
+        models.append((function, referee_model(rng, function)[0]))
+        for dim, f_pairs in ((4, 1), (8, 2)):
+            numbers = static_numbers(dim, f_pairs, rng)
+            models.append((function, static_model(function, dim, f_pairs, numbers)))
+    for function, model in models:
+        held = {path: Evaluator(model, function, path=path) for path in ("quotient", "lefschetz")}
+        points = [referee_point(rng, model) for _ in range(3)]
+        for t, tau in points + points[::-1]:
+            for point in ((t, tau), (t + 2 * tau, tau), (t + 2, tau)):
+                for path, fn in held.items():
+                    want = path_value(path, function, model, *point)
+                    assert Evaluator(model, function, path=path)(*point) == want
+                    assert fn(*point) == want, (function, path, point)
+
+
 @pytest.mark.parametrize("function", ["H", "G", "G1", "G2"])
 def test_exact_eval_keeps_the_phase_at_a_large_speed(function):
     # each w^e is e^(pi i (e t mod 2)); a complex w**e put 1.8e-11 between H's paths here
@@ -898,13 +950,6 @@ def test_jacobi_residual_split_variants():
         assert report["pass"], (variant, report["max_residual"])
 
 
-def test_jacobi_matrix_outside_subgroup():
-    model = free_split_model()
-    meta = form_meta(model, "G")
-    with pytest.raises(SchemaError):
-        jacobi_residual(evaluator(model, "G"), meta, SAMPLES, matrices=[MAT_S])
-
-
 def test_static_values_build_the_walk_once():
     # the symbolic half of the static pairing is cached per (dim, splitting):
     # every value at every tau, and each variant, share one walk
@@ -919,7 +964,7 @@ def test_static_values_build_the_walk_once():
     for tau in taus:
         for variant in ("G", "G1", "G2"):
             g_eval(model, variant, 0.21 - 0.03j, tau)
-        split_genus_value(model.components[0].static, "R", tau, 1e-12)
+        split_genus_value(model.components[0].static, "R", Nome(tau, 1e-12))
     info = exp_walk.cache_info()
     assert info.misses == 1
     assert info.hits == len(taus) * 4 - 1

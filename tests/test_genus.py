@@ -604,3 +604,15 @@ def test_a_vanishing_coefficient_reads_no_number_in_descending_order():
             density, 8, {"p2": Q(5), "p1^2": Q(-3)},
             lambda nums: _paired_series(nums, order, ((tangent, factor, "witten"),)))
     assert len(series._PREFIX_ROWS) == 1
+
+
+@pytest.mark.parametrize("flag", ["false", "no", 0, 1, None])
+def test_spin_flags_are_booleans(flag):
+    # bool("false") is true: a flag that is not a JSON boolean is bad input
+    spec = {"dim": 4, "f_pairs": 2, "fperp_pairs": 0, "numbers": {"p1(F)": 3}}
+    for key in ("f_spin", "m_spin"):
+        with pytest.raises(SchemaError, match="JSON booleans"):
+            SplitManifoldSpec.from_json(dict(spec, **{key: flag}))
+    if flag is not None:  # a null spin is an absent one
+        with pytest.raises(SchemaError, match="JSON boolean"):
+            CharNumbers.from_json({"dim": 4, "numbers": {"p1": 3}, "spin": flag})
