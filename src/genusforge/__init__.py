@@ -3,9 +3,9 @@ multiplicative genera, theta functions and equivariant fixed-point sums."""
 
 __version__ = "0.1.0"
 
-from genusforge.rings import RATIONAL, LAURENT, LaurentZ
+from genusforge.rings import LaurentZ
 from genusforge.series import QSeries
-from genusforge.charclass import BundleRoots, CharNumbers, GradedPoly, GradedRing
+from genusforge.charclass import BundleRoots, CharNumbers, GradedPoly
 from genusforge.ktheory import KClass, lambda_total, sym_total, witten_element, r_variants
 from genusforge.theta import (
     THETA,
@@ -41,8 +41,8 @@ from genusforge.equivariant import (
 )
 
 __all__ = [
-    "RATIONAL", "LAURENT", "LaurentZ", "QSeries",
-    "BundleRoots", "CharNumbers", "GradedPoly", "GradedRing",
+    "LaurentZ", "QSeries",
+    "BundleRoots", "CharNumbers", "GradedPoly",
     "KClass", "lambda_total", "sym_total", "witten_element", "r_variants",
     "THETA", "THETA1", "THETA2", "THETA3",
     "theta_eval", "theta_prime0", "theta_qseries", "verify_transform",

@@ -1,7 +1,8 @@
-"""Convolution and inversion kernels of the series and Laurent rings.
+"""Convolution and inversion kernels of the series and Laurent polynomials.
 
-Coefficients are opaque ring elements combined with + and *; a falsy
-element counts as zero and is skipped.
+Coefficients are opaque exact values of one kind combined with + and *,
+and `zero` is the zero of that kind; a falsy element counts as zero and is
+skipped.
 """
 
 # benchmark results record the backend that computed them

@@ -46,7 +46,7 @@ from genusforge.errors import (
     RingMismatchError,
     SchemaError,
 )
-from genusforge.rings import CoefficientRing, as_fraction, as_int, fraction_str
+from genusforge.rings import as_fraction, as_int, fraction_str
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -293,43 +293,6 @@ class BundleRoots:
     def __repr__(self):
         tag = "" if self.name is None else f", {self.name!r}"
         return f"BundleRoots({self.pair_count}{tag})"
-
-
-class GradedRing(CoefficientRing):
-    """Coefficient ring of GradedPoly values for series with class coefficients.
-
-    Used internally by the power operations and the genus pipeline.
-    """
-
-    kind = "graded"
-    allows_transcendental = True
-
-    def __init__(self, top: int):
-        self.top = int(top)
-
-    def zero(self):
-        return GradedPoly({}, self.top)
-
-    def one(self):
-        return GradedPoly.constant(1, self.top)
-
-    def coerce(self, value):
-        if isinstance(value, GradedPoly):
-            if value.top != self.top:
-                raise DimensionError(
-                    f"polynomial truncated at {value.top} in a degree-{self.top} ring"
-                )
-            return value
-        return GradedPoly.constant(as_fraction(value), self.top)
-
-    def div_int(self, x, n):
-        return x * Fraction(1, n)
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.top == other.top
-
-    def __hash__(self):
-        return hash((type(self), self.top))
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,9 @@ def _load_json(path: str, report: dict, key: str):
     }
     try:
         return json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{key}: {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # besides bad syntax: bad UTF-8, an integer past the digit limit, deep nesting
+        raise SchemaError(f"{key}: {path} is not readable JSON: {exc}") from None
 
 
 def _load_payload(path: str, report: dict, key: str, kind):

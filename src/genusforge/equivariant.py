@@ -51,8 +51,6 @@ from genusforge.charclass import CharNumbers
 from genusforge.errors import PoleError, SchemaError
 from genusforge.genus import SplitManifoldSpec, split_genus, split_genus_value
 from genusforge.rings import (
-    LAURENT,
-    RATIONAL,
     LaurentZ,
     as_fraction,
     as_int,
@@ -181,6 +179,15 @@ class JacobiFormMeta:
 # models
 
 
+def _bounded_int(value, what: str) -> int:
+    """as_int, refusing a magnitude past double range: no path can use one,
+    and the anomaly and weight stay far below the digit limit of str(int)."""
+    out = as_int(value, what)
+    if abs(out) > sys.float_info.max:
+        raise SchemaError(f"{what} is past the double-range bound {sys.float_info.max:.4g}")
+    return out
+
+
 def _moving_list(blocks, speed_key):
     if blocks is None:
         return ()
@@ -194,9 +201,9 @@ def _moving_list(blocks, speed_key):
             rank, speed = entry
         else:
             raise SchemaError("a moving block is an object or a (rank, speed) pair")
-        if speed is None or as_int(speed, "moving block speed") == 0:
+        if speed is None or _bounded_int(speed, "moving block speed") == 0:
             raise SchemaError("moving blocks need a nonzero integer speed")
-        if as_int(rank, "moving block rank") < 1:
+        if _bounded_int(rank, "moving block rank") < 1:
             raise SchemaError("moving blocks need a positive pair count")
         out.append((int(rank), int(speed)))
     return tuple(out)
@@ -276,7 +283,8 @@ class EquivariantModel:
         if mode not in ("foliated", "split"):
             raise SchemaError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.p, self.r, self.l = as_int(p, "p"), as_int(r, "r"), as_int(l, "l")
+        self.p, self.r, self.l = (_bounded_int(p, "p"), _bounded_int(r, "r"),
+                                  _bounded_int(l, "l"))
         if self.p < 0 or self.r < 0 or self.l < 0:
             raise SchemaError("pair counts cannot be negative")
         if not isinstance(components, (list, tuple)):
@@ -369,7 +377,7 @@ def _static_series(comp: FixedComponent, variant: str, order: int) -> QSeries:
     """
     if comp.dim == 0:
         const = comp.numbers["1"]
-        return QSeries(RATIONAL, 0, [const] if const else (), order)
+        return QSeries(Fraction(0), 0, [const] if const else (), order)
     return split_genus(comp.static, _VARIANT_TWIST[variant], order)
 
 
@@ -387,7 +395,7 @@ class ExactSeries:
     __slots__ = ("num", "den")
 
     def __init__(self, num: QSeries, den: LaurentZ):
-        if num.ring != LAURENT:
+        if not isinstance(num.zero, LaurentZ):
             raise SchemaError("exact series need Laurent coefficients")
         if not den:
             raise ZeroDivisionError("denominator of an exact series is zero")
@@ -644,9 +652,10 @@ def check_poles(model: EquivariantModel, t, tau):
     grow like exp(pi Im(s t)^2 / Im(tau)), which leaves double range near
     exp(709): the quotient path returned NaN or raised from 706 on (Im tau
     from the 0.05 floor to 20, every genus function).  Points past
-    GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and a
-    speed or s t past double range.  Im(s t)^2 is taken as a product, so
-    a huge Im(s t) reads as past the bound, not as an overflow.
+    GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and an
+    s t past double range (a model refuses a speed past it).  Im(s t)^2 is
+    taken as a product, so a huge Im(s t) reads as past the bound, not as
+    an overflow.
 
     A large Im(tau) admits a large Im(s t) under that bound, but the
     theta factors form e^(2 pi i s t) on its own, which leaves double
@@ -666,11 +675,7 @@ def _check_points(speeds, t, tauc: complex):
     if not cmath.isfinite(tc):
         raise SchemaError(f"t = {tc} is not finite")
     for s in speeds:
-        try:
-            finite = cmath.isfinite(s * tc)
-        except OverflowError:  # s itself is past double range
-            finite = False
-        if not finite:
+        if not cmath.isfinite(s * tc):
             raise SchemaError(f"speed {s} puts {s}*t past double range")
         x = reduced_st(s, tc)
         growth = math.pi * x.imag * x.imag / tauc.imag

@@ -6,7 +6,7 @@ class GenusforgeError(Exception):
 
 
 class RingMismatchError(GenusforgeError, TypeError):
-    """Two values live in incompatible coefficient rings."""
+    """Two values are coefficients of different kinds."""
 
 
 class GridError(GenusforgeError, ValueError):

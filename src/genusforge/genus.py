@@ -47,14 +47,13 @@ from genusforge.charclass import (
     BundleRoots,
     CharNumbers,
     GradedPoly,
-    GradedRing,
     _mono_degree,
     _mono_mul,
     genus_sequence,
 )
 from genusforge.errors import SchemaError
 from genusforge.ktheory import power_rows, tower_rows, tower_values
-from genusforge.rings import RATIONAL, as_int
+from genusforge.rings import as_int
 from genusforge.series import QSeries
 from genusforge.theta import Nome
 
@@ -156,7 +155,8 @@ def _twists(psi, phi, top):
     for value in (psi, phi):
         if isinstance(value, GradedPoly) and value.top == top:
             static = value if static is None else static * value
-        elif isinstance(value, QSeries) and value.ring == GradedRing(top):
+        elif (isinstance(value, QSeries) and isinstance(value.zero, GradedPoly)
+              and value.zero.top == top):
             series = value if series is None else series * value
         elif value is not None:
             raise SchemaError(f"cannot use this {type(value).__name__} as a twist of a "
@@ -252,7 +252,7 @@ def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
         _integrality([value], guaranteed, "subdirac index")
         return value
     slots = series.coeffs if static is None else [c * static for c in series.coeffs]
-    out = QSeries(RATIONAL, series.offset, _pair_top(spec, slots), series.order)
+    out = QSeries(Fraction(0), series.offset, _pair_top(spec, slots), series.order)
     _integrality(list(out.coeffs), guaranteed, "subdirac index")
     return out
 
@@ -310,7 +310,7 @@ def _paired_series(numbers: CharNumbers, order: int, towers) -> QSeries:
     """
     rows, den = tower_rows(numbers.dim, True, _entries(towers), order)
     total, den = _paired(numbers, order, rows, den)
-    return QSeries(RATIONAL, 0, [Fraction(v, den) for v in total], order)
+    return QSeries(Fraction(0), 0, [Fraction(v, den) for v in total], order)
 
 
 def witten_genus(numbers: CharNumbers, order: int) -> QSeries:

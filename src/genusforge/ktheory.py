@@ -35,7 +35,6 @@ from fractions import Fraction
 from genusforge.charclass import (
     BundleRoots,
     GradedPoly,
-    GradedRing,
     bundle_power_sums,
     factor_moments,
     graded_slots,
@@ -165,10 +164,9 @@ def _grid_slots(exponent: Fraction) -> int:
 
 def _log_tower(E: KClass, exponent, order: int, sign: int, exterior: bool) -> QSeries:
     """log ch of Sym_t(E) or Lambda_t(E) at t = sign * q**exponent."""
-    ring = GradedRing(E.top)
+    zero = GradedPoly({}, E.top)
     expo = Fraction(exponent)
     stride = _grid_slots(expo)
-    zero = ring.zero()
     out = [zero] * order
     i = 1
     while i * stride < order:
@@ -179,7 +177,7 @@ def _log_tower(E: KClass, exponent, order: int, sign: int, exterior: bool) -> QS
             coeff = -coeff
         out[i * stride] = coeff
         i += 1
-    return QSeries(ring, 0, out, order)
+    return QSeries(zero, 0, out, order)
 
 
 def sym_total(E: KClass, exponent, order: int, sign: int = 1) -> QSeries:
@@ -386,7 +384,7 @@ def _tower_series(E: KClass, tower: str, order: int) -> QSeries:
     entries = tuple((bundle.pair_count, bundle.name, None, tower, mult)
                     for bundle, mult in E.parts)
     rows, den = tower_rows(top, False, entries, order)
-    return QSeries(GradedRing(top), 0, graded_slots(rows, den, order, top), order)
+    return QSeries(GradedPoly({}, top), 0, graded_slots(rows, den, order, top), order)
 
 
 def witten_element(E: KClass, order: int) -> QSeries:

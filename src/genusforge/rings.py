@@ -1,9 +1,10 @@
-"""Exact coefficient rings for truncated series.
+"""Exact rationals and Laurent polynomials, two of the coefficient kinds of a series.
 
-Two variants live here: rationals, and Laurent polynomials in one formal
-variable over the rationals (charclass adds the graded ring of classes).
-Every ring is exact, so a series tests its coefficients for zero by
-truthiness and compares them with ==.
+Rationals are Fractions; LaurentZ is a Laurent polynomial in one formal
+variable over the rationals (charclass adds GradedPoly, the graded
+classes).  Every kind is exact, so a series tests its coefficients for
+zero by truthiness and compares them with ==.  The helpers here also read
+exact rationals and integers out of JSON payloads.
 
 laurent_mul and laurent_add are the one product and sum of sparse Laurent
 maps {exponent: nonzero coefficient}, for LaurentZ and the exact rows alike.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from genusforge._kernels import convolve_full
-from genusforge.errors import NonUnitError, RingMismatchError, SchemaError
+from genusforge.errors import RingMismatchError, SchemaError
 
 
 def as_fraction(value) -> Fraction:
@@ -214,90 +215,3 @@ class LaurentZ:
         for e, c in self.terms.items():
             bits.append(f"{c}*z^{e}" if e else f"{c}")
         return "LaurentZ(" + " + ".join(bits) + ")"
-
-
-class CoefficientRing:
-    """Descriptor with the construction and inversion hooks of a coefficient ring."""
-
-    kind = "abstract"
-    allows_transcendental = False
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def inv(self, x):
-        raise NotImplementedError
-
-    def div_int(self, x, n: int):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return type(self) is type(other)
-
-    def __hash__(self):
-        return hash(type(self))
-
-    def __repr__(self):
-        return f"<ring {self.kind}>"
-
-
-class RationalRing(CoefficientRing):
-    kind = "rational"
-    allows_transcendental = True
-
-    def zero(self):
-        return _QZERO
-
-    def one(self):
-        return Fraction(1)
-
-    def coerce(self, value):
-        return as_fraction(value)
-
-    def inv(self, x):
-        if not x:
-            raise NonUnitError("division by zero rational")
-        return 1 / as_fraction(x)
-
-    def div_int(self, x, n):
-        return x / n
-
-
-class LaurentRing(CoefficientRing):
-    kind = "laurent"
-
-    def zero(self):
-        return LaurentZ()
-
-    def one(self):
-        return LaurentZ.monomial(0)
-
-    def coerce(self, value):
-        if isinstance(value, LaurentZ):
-            return value
-        return LaurentZ({0: value})
-
-    def inv(self, x):
-        x = self.coerce(x)
-        if not x.is_monomial():
-            raise NonUnitError("only monomials are units in the Laurent ring")
-        e, c = next(x.items())
-        return LaurentZ.monomial(-e, 1 / Fraction(c))
-
-    def div_int(self, x, n):
-        return x * Fraction(1, n)
-
-
-RATIONAL = RationalRing()
-LAURENT = LaurentRing()
-
-
-def check_same_ring(a: CoefficientRing, b: CoefficientRing):
-    if a != b:
-        raise RingMismatchError(f"incompatible coefficient rings {a!r} and {b!r}")

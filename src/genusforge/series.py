@@ -4,7 +4,10 @@ A series stores coefficients at exponents offset + k/2 for 0 <= k < order
 and treats everything below the offset as identically zero.  Coefficients
 at or past offset + order/2 are unknown: arithmetic never fabricates them,
 so a product is only known to the shorter of the two input windows.
-Coefficients lie in an exact ring, so zero tests and equality are exact.
+Coefficients are exact values of one kind, named by the series' zero:
+rationals (Fraction(0)), Laurent polynomials in w (LaurentZ()) or graded
+classes (GradedPoly({}, top)).  They are kept as given and combined by
+their own arithmetic, so zero tests and equality are exact.
 Slot n of a truncated product depends only on slots <= n, so prefix_rows
 holds the numbers-free row tables of both exact paths without their order.
 """
@@ -15,14 +18,8 @@ from collections import OrderedDict
 from fractions import Fraction
 
 from genusforge._kernels import convolve_trunc, series_inv
-from genusforge.errors import (
-    GridError,
-    NonUnitError,
-    RingMismatchError,
-    SchemaError,
-    TruncationError,
-)
-from genusforge.rings import CoefficientRing, as_fraction, check_same_ring
+from genusforge.errors import GridError, NonUnitError, RingMismatchError, TruncationError
+from genusforge.rings import LaurentZ, as_fraction
 
 STEP = Fraction(1, 2)
 
@@ -61,50 +58,65 @@ def prefix_rows(key, order: int, build, *args):
     return table
 
 
+def _same_kind(a: "QSeries", b: "QSeries"):
+    if type(a.zero) is not type(b.zero):
+        raise RingMismatchError(f"cannot combine {type(a.zero).__name__} and "
+                                f"{type(b.zero).__name__} coefficients")
+
+
+def _unit_inverse(lead):
+    """1 / lead for a nonzero rational or a Laurent monomial, the units inverted here."""
+    if isinstance(lead, LaurentZ):
+        if not lead.is_monomial():
+            raise NonUnitError("only monomials are units among Laurent polynomials")
+        ((e, c),) = lead.items()
+        return LaurentZ.monomial(-e, 1 / Fraction(c))
+    if isinstance(lead, (int, Fraction)):
+        return 1 / Fraction(lead)
+    raise NonUnitError(f"cannot invert a series with leading coefficient {lead!r}")
+
+
 class QSeries:
-    """Truncated series sum_k c[k] q**(offset + k/2) + O(q**(offset + order/2))."""
+    """Truncated series sum_k c[k] q**(offset + k/2) + O(q**(offset + order/2)).
 
-    __slots__ = ("ring", "offset", "coeffs", "order")
+    zero is the zero of the coefficients' kind; missing slots are padded with it.
+    """
 
-    def __init__(self, ring: CoefficientRing, offset, coeffs, order: int | None = None):
-        self.ring = ring
+    __slots__ = ("zero", "offset", "coeffs", "order")
+
+    def __init__(self, zero, offset, coeffs, order: int | None = None):
+        self.zero = zero
         self.offset = as_fraction(offset)
-        cs = [ring.coerce(c) for c in coeffs]
+        cs = tuple(coeffs)
         if order is None:
             order = len(cs)
         if order < 0:
             raise ValueError("order must be non-negative")
         if len(cs) > order:
             raise ValueError("more coefficients than the truncation order admits")
-        zero = ring.zero()
-        cs.extend(zero for _ in range(order - len(cs)))
-        self.coeffs = tuple(cs)
+        self.coeffs = cs + (zero,) * (order - len(cs)) if len(cs) < order else cs
         self.order = order
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, order, offset=0):
-        return cls(ring, offset, (), order)
+    def one(cls, zero, order):
+        return cls(zero, 0, (zero + 1,), order)
 
     @classmethod
-    def one(cls, ring, order):
-        return cls(ring, 0, (ring.one(),), order)
-
-    @classmethod
-    def from_terms(cls, ring, terms, order, offset=0):
-        """Build from a map of exponents (rationals on the grid) to values."""
+    def from_terms(cls, zero, terms, order, offset=0):
+        """Build from a map of exponents (rationals on the grid) to values,
+        each value added to zero, which turns an int into the coefficients' kind."""
         offset = as_fraction(offset)
-        cs = {}
+        cs = [zero] * order
         for expo, val in terms.items():
             idx = (as_fraction(expo) - offset) / STEP
             if idx.denominator != 1 or idx < 0:
                 raise GridError(f"exponent {expo} is off the grid starting at {offset}")
             if idx >= order:
                 raise TruncationError(f"exponent {expo} beyond the truncation window")
-            cs[int(idx)] = val
-        data = [cs.get(i, ring.zero()) for i in range(order)]
-        return cls(ring, offset, data, order)
+            cs[int(idx)] = zero + val
+        return cls(zero, offset, cs, order)
 
     # -- structure ------------------------------------------------------
 
@@ -128,7 +140,7 @@ class QSeries:
             raise TruncationError(f"coefficient at {expo} is beyond the known window")
         idx = (expo - self.offset) / STEP
         if idx < 0 or idx.denominator != 1:
-            return self.ring.zero()
+            return self.zero
         return self.coeffs[int(idx)]
 
     def leading_index(self):
@@ -147,15 +159,16 @@ class QSeries:
         """Move known-zero leading slots into the offset (window end is kept)."""
         k = self.leading_index()
         if k is None:
-            return QSeries(self.ring, self.end_exponent, (), 0)
+            return QSeries(self.zero, self.end_exponent, (), 0)
         if k == 0:
             return self
-        return QSeries(self.ring, self.exponent(k), self.coeffs[k:], self.order - k)
+        return QSeries(self.zero, self.exponent(k), self.coeffs[k:], self.order - k)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.ring != other.ring:
+        if type(self.zero) is not type(other.zero) or (
+                getattr(self.zero, "top", None) != getattr(other.zero, "top", None)):
             return False
         a, b = self.normalized(), other.normalized()
         if a.order != b.order or a.offset != b.offset:
@@ -167,39 +180,31 @@ class QSeries:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _aligned(self, other):
-        check_same_ring(self.ring, other.ring)
+    def __add__(self, other):
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        _same_kind(self, other)
         delta = (other.offset - self.offset) / STEP
         if delta.denominator != 1:
             raise GridError(
                 f"offsets {self.offset} and {other.offset} do not share a grid"
             )
-        return int(delta)
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        delta = self._aligned(other)
         offset = min(self.offset, other.offset)
         end = min(self.end_exponent, other.end_exponent)
-        order = int((end - offset) / STEP)
-        if order < 0:
-            order = 0
-        zero = self.ring.zero()
-        out = [zero] * order
+        order = max(int((end - offset) / STEP), 0)
+        out = [self.zero] * order
         sh_self = int((self.offset - offset) / STEP)
-        sh_other = sh_self + delta
+        sh_other = sh_self + int(delta)
         for k, c in enumerate(self.coeffs):
             if sh_self + k < order:
                 out[sh_self + k] = out[sh_self + k] + c
         for k, c in enumerate(other.coeffs):
             if sh_other + k < order:
                 out[sh_other + k] = out[sh_other + k] + c
-        return QSeries(self.ring, offset, out, order)
+        return QSeries(self.zero, offset, out, order)
 
     def __neg__(self):
-        zero = self.ring.zero()
-        return QSeries(self.ring, self.offset, [zero - c for c in self.coeffs], self.order)
+        return QSeries(self.zero, self.offset, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -208,98 +213,91 @@ class QSeries:
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
-            try:
-                scalar = self.ring.coerce(other)
-            except (RingMismatchError, SchemaError):
+            # a scalar: an int, a Fraction or a value of the coefficients' kind
+            if isinstance(other, bool) or not isinstance(other, (int, Fraction, type(self.zero))):
                 return NotImplemented
-            return QSeries(
-                self.ring, self.offset, [c * scalar for c in self.coeffs], self.order
-            )
-        check_same_ring(self.ring, other.ring)
+            return QSeries(self.zero, self.offset, [c * other for c in self.coeffs], self.order)
+        _same_kind(self, other)
         order = min(self.order, other.order)
-        cs = convolve_trunc(list(self.coeffs), list(other.coeffs), order, self.ring.zero())
-        return QSeries(self.ring, self.offset + other.offset, cs, order)
+        cs = convolve_trunc(list(self.coeffs), list(other.coeffs), order, self.zero)
+        return QSeries(self.zero, self.offset + other.offset, cs, order)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inv(self) -> "QSeries":
-        """Multiplicative inverse; the leading coefficient must be a unit."""
+        """Multiplicative inverse; the leading coefficient must be a nonzero
+        rational or a Laurent monomial."""
         a = self.normalized()
         if a.order == 0:
             raise NonUnitError("cannot invert a series with no known coefficients")
-        lead = a.coeffs[0]
-        if not lead:
-            raise NonUnitError("cannot invert the zero series")
-        lead_inv = self.ring.inv(lead)
-        cs = series_inv(list(a.coeffs), a.order, lead_inv, self.ring.zero())
-        return QSeries(self.ring, -a.offset, cs, a.order)
+        cs = series_inv(list(a.coeffs), a.order, _unit_inverse(a.coeffs[0]), self.zero)
+        return QSeries(self.zero, -a.offset, cs, a.order)
 
     def _rebased_integral(self):
         # Shift to offset 0, erroring when the grid cannot reach exponent 0.
         if (self.offset / STEP).denominator != 1:
             raise GridError("offset must sit on the half-integer grid for exp/log")
         shift = int(self.offset / STEP)
-        zero = self.ring.zero()
         if shift >= 0:
-            return [zero] * shift + list(self.coeffs), self.order + shift
+            return [self.zero] * shift + list(self.coeffs), self.order + shift
         for k in range(min(-shift, self.order)):
             if self.coeffs[k]:
                 raise ValueError("series has terms at non-positive exponents")
         return list(self.coeffs[-shift:]), self.order + shift
 
     def exp(self) -> "QSeries":
-        """exp of a series with strictly positive exponents (exact rings only)."""
-        if not self.ring.allows_transcendental:
-            raise RingMismatchError(f"exp is not defined over the {self.ring.kind} ring")
+        """exp of a series with strictly positive exponents.
+
+        exp and log divide only by the slot index, so they are exact for every kind.
+        """
         a, order = self._rebased_integral()
         if order <= 0:
-            return QSeries.one(self.ring, max(order, 0))
+            return QSeries(self.zero, 0, (), 0)
         if a[0]:
             raise ValueError("exp needs a zero constant term")
-        zero = self.ring.zero()
+        zero = self.zero
         out = [zero] * order
-        out[0] = self.ring.one()
+        out[0] = zero + 1
         for k in range(1, order):
             acc = zero
             for j in range(1, k + 1):
                 if a[j]:
                     acc = acc + (a[j] * j) * out[k - j]
-            out[k] = self.ring.div_int(acc, k)
-        return QSeries(self.ring, 0, out, order)
+            out[k] = acc * Fraction(1, k)
+        return QSeries(zero, 0, out, order)
 
     def log(self) -> "QSeries":
-        """log of a series with constant term one (exact rings only)."""
-        if not self.ring.allows_transcendental:
-            raise RingMismatchError(f"log is not defined over the {self.ring.kind} ring")
+        """log of a series with constant term one."""
         a, order = self._rebased_integral()
         if order <= 0:
             raise ValueError("log needs a known constant term")
-        if a[0] != self.ring.one():
+        zero = self.zero
+        if a[0] != zero + 1:
             raise ValueError("log needs constant term one")
-        zero = self.ring.zero()
         out = [zero] * order
         for k in range(1, order):
             acc = zero
             for j in range(1, k):
                 if out[j]:
                     acc = acc + (out[j] * j) * a[k - j]
-            out[k] = a[k] - self.ring.div_int(acc, k)
-        return QSeries(self.ring, 0, out, order)
+            out[k] = a[k] - acc * Fraction(1, k)
+        return QSeries(zero, 0, out, order)
 
     # -- reshaping ------------------------------------------------------
 
     def truncated(self, order: int) -> "QSeries":
         if order > self.order:
             raise TruncationError("cannot extend a truncated series")
-        return QSeries(self.ring, self.offset, self.coeffs[:order], order)
+        return QSeries(self.zero, self.offset, self.coeffs[:order], order)
 
     def shifted(self, delta) -> "QSeries":
         """Multiply by q**delta."""
-        return QSeries(self.ring, self.offset + as_fraction(delta), self.coeffs, self.order)
+        return QSeries(self.zero, self.offset + as_fraction(delta), self.coeffs, self.order)
 
     def map_coefficients(self, fn) -> "QSeries":
-        return QSeries(self.ring, self.offset, [fn(c) for c in self.coeffs], self.order)
+        """fn applied to every coefficient; fn must keep the coefficients' kind."""
+        return QSeries(self.zero, self.offset, [fn(c) for c in self.coeffs], self.order)
 
     def alternate_half_signs(self) -> "QSeries":
         """Apply q**(1/2) -> -q**(1/2): negate coefficients at half-integer exponents."""
@@ -308,12 +306,12 @@ class QSeries:
             e2 = 2 * self.exponent(k)
             if e2.denominator != 1:
                 raise GridError("exponents must be half-integral for the sign flip")
-            out.append(c if int(e2) % 2 == 0 else self.ring.zero() - c)
-        return QSeries(self.ring, self.offset, out, self.order)
+            out.append(c if int(e2) % 2 == 0 else -c)
+        return QSeries(self.zero, self.offset, out, self.order)
 
     def __repr__(self):
         parts = []
         for expo, c in list(self.terms())[:6]:
             parts.append(f"({c!r})*q^{expo}")
         body = " + ".join(parts) if parts else "0"
-        return f"QSeries[{self.ring.kind}]({body} + O(q^{self.end_exponent}))"
+        return f"QSeries[{type(self.zero).__name__}]({body} + O(q^{self.end_exponent}))"

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from genusforge.errors import SchemaError
-from genusforge.rings import LAURENT, LaurentZ
+from genusforge.rings import LaurentZ
 from genusforge.series import QSeries
 
 THETA = "theta"
@@ -138,7 +138,7 @@ def laurent_rows(series: QSeries) -> list:
 
 def rows_series(rows, offset=0) -> QSeries:
     """The Laurent-coefficient series held by rows, each row wrapped as it is."""
-    return QSeries(LAURENT, offset, [LaurentZ._trusted(row) for row in rows], len(rows))
+    return QSeries(LaurentZ(), offset, [LaurentZ._trusted(row) for row in rows], len(rows))
 
 
 class ThetaSeries:
@@ -174,7 +174,7 @@ def euler_product(order: int) -> QSeries:
     """c(q) = prod (1 - q^n) truncated to the given slot count."""
     rows = unit_rows(order)
     multiply_rows(rows, euler_factors(order))
-    return QSeries(LAURENT, 0, [row.get(0, 0) for row in rows], order)
+    return rows_series(rows)
 
 
 def theta_qseries(kind, order: int) -> ThetaSeries:
@@ -191,7 +191,7 @@ def theta_prime0_series(order: int) -> ThetaSeries:
     """d theta / dv at v = 0: the sin factor contributes 2 pi, each
     product pair evaluates at z = 1 giving (1 - q^n)^2, so the exact form
     is 2 pi q^(1/8) c(q)^3."""
-    return ThetaSeries("theta_prime0", 3, Fraction(1, 8), "2pi", QSeries.one(LAURENT, order))
+    return ThetaSeries("theta_prime0", 3, Fraction(1, 8), "2pi", QSeries.one(LaurentZ(), order))
 
 
 # ---------------------------------------------------------------------------

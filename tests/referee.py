@@ -12,7 +12,7 @@ m = 1 .. order.
 
 from fractions import Fraction
 
-from genusforge.charclass import BundleRoots, GradedRing, pair_fundamental
+from genusforge.charclass import BundleRoots, GradedPoly, pair_fundamental
 from genusforge.genus import ahat_poly, l_poly
 from genusforge.ktheory import KClass, lambda_total, sym_total
 from genusforge.series import QSeries
@@ -22,7 +22,7 @@ TWIST_LAMBDA = {"R": (Fraction(0), 1), "R1": (Fraction(-1, 2), 1), "R2": (Fracti
 
 
 def product(factors, top, order):
-    out = QSeries.one(GradedRing(top), order)
+    out = QSeries.one(GradedPoly({}, top), order)
     for factor in factors:
         out = out * factor
     return out

@@ -25,7 +25,7 @@ from genusforge.equivariant import (
 )
 from genusforge.genus import subdirac_index, witten_genus
 from genusforge.ktheory import KClass, lambda_total, sym_total, witten_element
-from genusforge.charclass import BundleRoots, GradedRing
+from genusforge.charclass import BundleRoots, GradedPoly
 from genusforge.series import QSeries
 from genusforge.theta import KINDS, theta_eval, theta_qseries, verify_transform
 
@@ -161,7 +161,7 @@ def test_criterion_05_ktheory_identities():
         E = parts[0]
         for extra in parts[1:]:
             E = E + extra
-        one = QSeries.one(GradedRing(top), order)
+        one = QSeries.one(GradedPoly({}, top), order)
         assert sym_total(E, 1, order) * lambda_total(E, 1, order, sign=-1) == one
         if len(parts) > 1:
             split = rng.randint(1, len(parts) - 1)

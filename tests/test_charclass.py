@@ -9,7 +9,6 @@ from genusforge.charclass import (
     BundleRoots,
     CharNumbers,
     GradedPoly,
-    GradedRing,
     ahat_factor,
     bundle_power_sums,
     genus_sequence,
@@ -22,6 +21,7 @@ from genusforge.charclass import (
     to_pontryagin,
 )
 from genusforge.errors import DimensionError, MissingNumberError, SchemaError
+from genusforge.series import QSeries
 
 from oracles import (
     brute_elementary,
@@ -263,9 +263,13 @@ def test_bundle_roots_rejects_negative():
 
 
 def test_graded_ring_rejects_other_truncation():
-    ring = GradedRing(8)
+    series = QSeries.one(GradedPoly({}, 8), 2)
+    other = QSeries.one(GradedPoly({}, 4), 2)
     with pytest.raises(DimensionError):
-        ring.coerce(GradedPoly.constant(1, 4))
+        series * GradedPoly.constant(1, 4)
+    with pytest.raises(DimensionError):
+        series + other
+    assert series != other
 
 
 # -- characteristic numbers and pairing -------------------------------------

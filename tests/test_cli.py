@@ -104,9 +104,10 @@ def _bool_point(**fields):
     return {"mode": "foliated", "p": 1, "r": 0, "components": [comp]}
 
 
-def _free_point_of_rank(rank):
-    """One free fixed point whose speed-one moving block has the given rank."""
-    comp = {"dim": 0, "orientation": 1, "moving_f": [{"rank": rank, "m": 1}], "numbers": {"1": 1}}
+def _free_point_of_rank(rank, speed=1):
+    """One free fixed point whose moving block has the given rank (and speed)."""
+    comp = {"dim": 0, "orientation": 1, "moving_f": [{"rank": rank, "m": speed}],
+            "numbers": {"1": 1}}
     return {"mode": "foliated", "p": rank, "r": 0, "components": [comp]}
 
 
@@ -291,6 +292,25 @@ _MALFORMED = {
         ["jacobi", "verify", "--samples", "2", "--model"],
         _bool_point(moving_f=[{"rank": 1, "m": 10**400}]),
     ),
+    # the anomaly rank * m^2 of these passed 4300 digits, which str(int) refuses
+    "speed_2501_digits": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"],
+        _bool_point(moving_f=[{"rank": 1, "m": 10**2500}]),
+    ),
+    "rank_4000_digits": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"],
+        _free_point_of_rank(10**3999, speed=10**200),
+    ),
+    # files that json.loads cannot read although their syntax is not at fault
+    # (raw text, not json.dumps output)
+    "integer_of_5001_digits": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"],
+        json.dumps(_bool_point(moving_f=[{"rank": 1, "m": 7}]))
+        .replace('"m": 7', '"m": 1' + "0" * 5000).encode(),
+    ),
+    "arrays_nested_200000_deep": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"], b"[" * 200000,
+    ),
     # spin flags are JSON booleans: bool("false") is true
     "f_spin_string_false": (_SUBDIRAC, _spin_spec(f_spin="false")),
     "f_spin_string_no": (_SUBDIRAC, _spin_spec(f_spin="no")),
@@ -377,8 +397,15 @@ _POLES = {
 
 
 def _run_cli_on_payload(tmp_path, case, argv, payload):
-    """Run the CLI in a fresh process; a payload's file path ends the argv."""
-    if payload is not None:
+    """Run the CLI in a fresh process; a payload's file path ends the argv.
+
+    A bytes payload is written out as it is, any other as JSON.
+    """
+    if isinstance(payload, bytes):
+        path = tmp_path / f"{case}.json"
+        path.write_bytes(payload)
+        argv = argv + [str(path)]
+    elif payload is not None:
         argv = argv + [write_model(tmp_path, case, payload)]
     src = os.path.dirname(os.path.dirname(genusforge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -35,7 +35,7 @@ from genusforge.equivariant import (
 )
 from genusforge.errors import MissingNumberError, PoleError, SchemaError
 from genusforge.ktheory import tower_slots
-from genusforge.rings import LAURENT, RATIONAL, LaurentZ
+from genusforge.rings import LaurentZ
 from genusforge.series import QSeries
 from genusforge.theta import Nome, check_tau, theta_eval, theta_prime0
 
@@ -202,6 +202,19 @@ def test_model_validation():
         EquivariantModel("split", 1, 2, 0, [point([1], [1])])
 
 
+def test_model_integers_past_double_range_are_refused():
+    huge = 2**1024
+    for pairs in ((huge, 0, 0), (0, huge, 0), (0, 0, huge)):
+        with pytest.raises(SchemaError, match="double-range bound"):
+            EquivariantModel("split", *pairs, [point([])])
+    for block in ((huge, 1), (1, huge), (1, -huge)):
+        with pytest.raises(SchemaError, match="double-range bound"):
+            FixedComponent(0, 1, 0, 0, moving_f=[block])
+    # the largest double is still a speed
+    big = int(sys.float_info.max)
+    assert FixedComponent(0, 1, 0, 0, moving_f=[(1, big)]).moving_f == ((1, big),)
+
+
 def test_anomaly():
     assert anomaly_check(s2_rotation_model()) == 1
     assert anomaly_check(free_split_model()) == 1
@@ -234,7 +247,7 @@ def test_form_meta():
 
 
 def test_exact_series_algebra():
-    one = QSeries.one(LAURENT, 5)
+    one = QSeries.one(LaurentZ(), 5)
     a = ExactSeries(one, LaurentZ({1: 1, -1: -1}))
     b = ExactSeries(one, LaurentZ({-1: 1, 1: -1}))
     assert (a + b).is_zero()
@@ -247,7 +260,7 @@ def test_exact_series_algebra():
     with pytest.raises(ZeroDivisionError):
         ExactSeries(one, LaurentZ({}))
     with pytest.raises(SchemaError):
-        ExactSeries(QSeries.one(RATIONAL, 5), LaurentZ.monomial(0))
+        ExactSeries(QSeries.one(Fraction(0), 5), LaurentZ.monomial(0))
 
 
 def laurent_dict(lz):
@@ -538,7 +551,7 @@ def full_static_series(comp, variant, order):
     back = BundleRoots(comp.fperp0_pairs, "Fperp")
     twist = {"G": "R", "G1": "R2", "G2": "R1"}[variant]
     density = referee.split_density(front, back, twist, comp.dim, order)
-    return QSeries(RATIONAL, density.offset, referee.paired(density, comp.numbers),
+    return QSeries(Fraction(0), density.offset, referee.paired(density, comp.numbers),
                    density.order)
 
 

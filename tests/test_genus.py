@@ -11,7 +11,6 @@ from genusforge.charclass import (
     BundleRoots,
     CharNumbers,
     GradedPoly,
-    GradedRing,
     genus_sequence,
     pair_fundamental,
     parse_monomial,
@@ -28,7 +27,6 @@ from genusforge.genus import (
     witten_genus,
 )
 from genusforge.ktheory import KClass, witten_element
-from genusforge.rings import RATIONAL
 from genusforge.series import QSeries
 
 from oracles import (MPoly, naive_witten, partitions, qm_clean, qm_mul, split_monomials,
@@ -100,7 +98,7 @@ def test_density_static_twist():
     with pytest.raises(SchemaError):
         index_density(spec, phi=GradedPoly.constant(1, 8))
     with pytest.raises(SchemaError):
-        index_density(spec, psi=QSeries.one(RATIONAL, 3))
+        index_density(spec, psi=QSeries.one(Fraction(0), 3))
     with pytest.raises(SchemaError):
         index_density(spec, psi="witten")
 
@@ -508,7 +506,7 @@ def test_missing_numbers_raise_only_when_some_slot_needs_them():
     p1sq = parse_monomial("p1(F)^2")
     base = ahat_poly(BundleRoots(2, "F"), 8) * l_poly(BundleRoots(2, "Fperp"), 8)
     c = GradedPoly.constant(1, 8) - GradedPoly({p1sq: base.terms[p1sq]}, 8)
-    psi = QSeries(GradedRing(8), 0, [c, c * 3], 2)
+    psi = QSeries(GradedPoly({}, 8), 0, [c, c * 3], 2)
     spec = SplitManifoldSpec(8, 2, 2, _drop(full, "p1(F)^2"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegralityWarning)
