@@ -159,15 +159,6 @@ class JacobiFormMeta:
             "lattice": self.lattice,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "JacobiFormMeta":
-        if not isinstance(obj, dict):
-            raise SchemaError("form metadata must be an object")
-        for key in ("weight", "index", "subgroup"):
-            if key not in obj:
-                raise SchemaError(f"form metadata is missing {key!r}")
-        return cls(obj["weight"], Fraction(obj["index"]), obj["subgroup"], obj.get("lattice", 2))
-
     def __repr__(self):
         return (
             f"JacobiFormMeta(weight={self.weight}, index={self.index}, "
@@ -453,7 +444,7 @@ class ExactSeries:
         about eps sum |x_i|, so the relative rounding bound is
         eps sum |x_i| / |sum x_i| of num plus that of den.  A value whose
         rounding bound or truncation estimate exceeds EVAL_TOL is a
-        SchemaError.
+        SchemaError, and so is a coefficient past double range.
         """
         tau = check_tau(tau)
         wpow = {}
@@ -469,16 +460,20 @@ class ExactSeries:
                 mag += abs(c) * abs(p)
             return acc, mag
 
-        den, den_mag = value(self.den)
         acc, mag, last = 0j, 0.0, 0.0
         tail = self.num.end_exponent - 1
-        for expo, coeff in self.num.terms():
-            qp = _qpow(tau, expo)
-            val, val_mag = value(coeff)
-            acc += val * qp
-            mag += val_mag * abs(qp)
-            if expo >= tail:
-                last += abs(val * qp)
+        try:
+            den, den_mag = value(self.den)
+            for expo, coeff in self.num.terms():
+                qp = _qpow(tau, expo)
+                val, val_mag = value(coeff)
+                acc += val * qp
+                mag += val_mag * abs(qp)
+                if expo >= tail:
+                    last += abs(val * qp)
+        except OverflowError:
+            raise SchemaError(f"a coefficient of the exact series is past the double-range "
+                              f"bound {sys.float_info.max:.4g}") from None
         rounding = sys.float_info.epsilon * (_relative(mag, acc) + _relative(den_mag, den))
         estimate = _relative(last, acc)
         for what, size in (("rounding bound", rounding), ("truncation estimate", estimate)):
@@ -765,7 +760,8 @@ class Evaluator:
     kept for the last tau, so a Jacobi sample and its lattice shifts share
     them.  A call checks t and forms the moving factors.  check_poles
     bounds each factor, not their product, which leaves double range from
-    a total moving rank of 64 on: such a value is a SchemaError.
+    a total moving rank of 64 on: such a value is a SchemaError, and so is
+    a static value past double range (a number such as 10**400).
     """
 
     __slots__ = ("model", "variant", "tol", "speeds", "factors", "nome", "statics")
@@ -786,9 +782,13 @@ class Evaluator:
         _check_points(self.speeds, t, tau)
         if self.nome is None or self.nome.tau != tau:
             nome, twist = Nome(tau, self.tol), _VARIANT_TWIST[self.variant]
-            self.statics = [comp.orientation * (complex(comp.numbers["1"]) if comp.dim == 0
-                                                else split_genus_value(comp.static, twist, nome))
-                            for comp in self.model.components]
+            try:
+                self.statics = [comp.orientation * (complex(comp.numbers["1"]) if comp.dim == 0
+                                                    else split_genus_value(comp.static, twist, nome))
+                                for comp in self.model.components]
+            except OverflowError:
+                raise SchemaError(f"a static value at tau = {tau} is past the double-range "
+                                  f"bound {sys.float_info.max:.4g}") from None
             self.nome = nome
         nome, (w_factor, v_factor) = self.nome, self.factors
         total = 0j

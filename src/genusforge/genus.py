@@ -1,13 +1,14 @@
 """Index densities and genera for manifolds with a split tangent bundle.
 
 The data is a formal splitting TM = F + Fperp with p and r root pairs and
-a table of Pontryagin numbers.  Densities take the shape
+a table of Pontryagin numbers.  The sub-Dirac density is
 
-    Ahat(F) ch(psi) L(Fperp) ch(phi)
+    Ahat(F) ch(psi) L(Fperp)
 
-paired against the fundamental class coefficient by coefficient; the
-Witten genus and the three twisted genera are specializations with psi
-the Witten element of F and phi one of the twist towers of Fperp.
+with psi one q-series of classes (the Witten element of F in the paper),
+paired against the fundamental class coefficient by coefficient.  The
+Witten genus and the three twisted genera pair the Witten tower of F with
+a genus factor and one of the twist towers of Fperp.
 
 Those genera, and the classical Ahat and L genera (a genus factor with
 no tower), are paired from the power-sum closed form.  Per bundle the
@@ -28,10 +29,12 @@ it, and ktheory.tower_rows keeps it per (dim, splitting, towers) for
 every order to read a prefix of (series.prefix_rows); split_genus_value
 folds one-slot rows at every tau.  Every pairing reads only the numbers
 whose rows are nonzero within its order, through _paired, and sums them.
-subdirac_index pairs a series twist through the top degree alone: the
-base class Ahat(F) L(Fperp) is slot 0 of tower_rows' no-tower key, and
-per twist monomial only its products of degree dim are formed, kept in
-one bounded cache (_top_products).  index_density still builds the whole
+subdirac_index pairs its twist, one QSeries of degree-dim classes or
+none, through the top degree alone: the base class Ahat(F) L(Fperp) is
+slot 0 of tower_rows' no-tower key, and per twist monomial only its
+products of degree dim are formed, kept in one bounded cache
+(_top_products).  A static class is the one-slot series of that class,
+and two twists are their product.  index_density still builds the whole
 density from ahat_poly and l_poly (charclass.genus_sequence), the
 referee of these pairings.
 """
@@ -146,33 +149,19 @@ class SplitManifoldSpec:
         )
 
 
-def _twists(psi, phi, top):
-    """(static, series): the products of the GradedPoly and of the QSeries twists.
-
-    Either is None when no twist of its kind is given.
-    """
-    static = series = None
-    for value in (psi, phi):
-        if isinstance(value, GradedPoly) and value.top == top:
-            static = value if static is None else static * value
-        elif (isinstance(value, QSeries) and isinstance(value.zero, GradedPoly)
-              and value.zero.top == top):
-            series = value if series is None else series * value
-        elif value is not None:
-            raise SchemaError(f"cannot use this {type(value).__name__} as a twist of a "
-                              f"degree-{top} density")
-    return static, series
+def _check_twist(psi, top: int):
+    """Refuse a twist that is not one QSeries of degree-top GradedPoly classes."""
+    if psi is not None and not (isinstance(psi, QSeries) and isinstance(psi.zero, GradedPoly)
+                                and psi.zero.top == top):
+        raise SchemaError(f"the twist of a degree-{top} density is a QSeries of degree-{top} "
+                          f"GradedPoly classes, not this {type(psi).__name__}")
 
 
-def index_density(spec: SplitManifoldSpec, psi=None, phi=None):
-    """Ahat(F) ch(psi) L(Fperp) ch(phi); GradedPoly when both twists are static."""
-    top = spec.dim
-    static, series = _twists(psi, phi, top)
-    base = ahat_poly(spec.F, top) * l_poly(spec.Fperp, top)
-    base = base if static is None else base * static
-    if series is None:
-        return base
-    return series.map_coefficients(lambda c: c * base)
+def index_density(spec: SplitManifoldSpec, psi=None):
+    """Ahat(F) ch(psi) L(Fperp): a GradedPoly without a twist, a QSeries of them with one."""
+    _check_twist(psi, spec.dim)
+    base = ahat_poly(spec.F, spec.dim) * l_poly(spec.Fperp, spec.dim)
+    return base if psi is None else psi.map_coefficients(lambda c: c * base)
 
 
 def _integrality(values, guaranteed: bool, label: str):
@@ -234,27 +223,21 @@ def _pair_top(spec: SplitManifoldSpec, slots) -> list:
     return [Fraction(t, den * sden) for t, sden in zip(total, slot_dens)]
 
 
-def subdirac_index(spec: SplitManifoldSpec, psi=None, phi=None):
+def subdirac_index(spec: SplitManifoldSpec, psi=None):
     """Pair the index density against the fundamental class.
 
-    Returns a rational for static twists, a QSeries of rationals otherwise.
+    Returns a rational without a twist, a QSeries of rationals with one.
     Integrality is guaranteed by a spin F (the operator exists); with r = 0
     a spin M means the same thing.  Otherwise a warning is attached.
 
     The value is index_density's, paired slot by slot by _pair_top, which
     forms only the top-degree products with the base class.
     """
-    top = spec.dim
-    static, series = _twists(psi, phi, top)
-    guaranteed = spec.F_spin or (spec.r == 0 and spec.M_spin)
-    if series is None:
-        (value,) = _pair_top(spec, [GradedPoly.constant(1, top) if static is None else static])
-        _integrality([value], guaranteed, "subdirac index")
-        return value
-    slots = series.coeffs if static is None else [c * static for c in series.coeffs]
-    out = QSeries(Fraction(0), series.offset, _pair_top(spec, slots), series.order)
-    _integrality(list(out.coeffs), guaranteed, "subdirac index")
-    return out
+    _check_twist(psi, spec.dim)
+    slots = [GradedPoly.constant(1, spec.dim)] if psi is None else psi.coeffs
+    values = _pair_top(spec, slots)
+    _integrality(values, spec.F_spin or (spec.r == 0 and spec.M_spin), "subdirac index")
+    return values[0] if psi is None else QSeries(Fraction(0), psi.offset, values, psi.order)
 
 
 def ahat_genus(numbers: CharNumbers) -> Fraction:

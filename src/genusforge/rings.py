@@ -12,16 +12,26 @@ maps {exponent: nonzero coefficient}, for LaurentZ and the exact rows alike.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from genusforge._kernels import convolve_full
 from genusforge.errors import RingMismatchError, SchemaError
 
 
+# the documented rational literals: an optional sign, digits and an optional /digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational.
 
-    A JSON boolean is refused, although Python counts bool as an int.
+    A JSON boolean is refused, although Python counts bool as an int.  A
+    string is read only in the documented form, before Fraction() sees it:
+    Fraction() also reads decimals and exponents, and '1e10000000' would
+    spend seconds building its integer.  Digits past the int() limit of
+    sys.get_int_max_str_digits() are refused by Fraction() itself.
     """
     if isinstance(value, Fraction):
         return value
@@ -30,10 +40,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RATIONAL.fullmatch(value) is None:
+            raise SchemaError(f"bad rational literal {value[:40]!r}: write an integer or 'p/q'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {value!r}") from exc
+            raise SchemaError(f"bad rational literal {value[:40]!r}: {exc}") from None
     raise RingMismatchError(f"cannot treat {value!r} as an exact rational")
 
 
@@ -54,7 +66,18 @@ def as_int(value, what: str) -> int:
 
 
 def fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """x as 'p/q', the one renderer of exact report values.
+
+    A numerator or denominator of more digits than str(int) writes
+    (sys.get_int_max_str_digits()) is a SchemaError: valid inputs can
+    reach one, as a number near the limit times a tower coefficient, or
+    the lcm of many long denominators.
+    """
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        raise SchemaError(f"an exact value has more digits than the limit "
+                          f"{sys.get_int_max_str_digits()} of a printed integer") from None
 
 
 def laurent_strings(lz) -> dict:

@@ -103,21 +103,6 @@ class QSeries:
     def one(cls, zero, order):
         return cls(zero, 0, (zero + 1,), order)
 
-    @classmethod
-    def from_terms(cls, zero, terms, order, offset=0):
-        """Build from a map of exponents (rationals on the grid) to values,
-        each value added to zero, which turns an int into the coefficients' kind."""
-        offset = as_fraction(offset)
-        cs = [zero] * order
-        for expo, val in terms.items():
-            idx = (as_fraction(expo) - offset) / STEP
-            if idx.denominator != 1 or idx < 0:
-                raise GridError(f"exponent {expo} is off the grid starting at {offset}")
-            if idx >= order:
-                raise TruncationError(f"exponent {expo} beyond the truncation window")
-            cs[int(idx)] = zero + val
-        return cls(zero, offset, cs, order)
-
     # -- structure ------------------------------------------------------
 
     @property

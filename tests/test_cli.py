@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,23 @@ def _spin_spec(**flags):
     return spec
 
 
+def _raw(payload, old, new):
+    """payload's JSON text with old written as new, as raw bytes."""
+    text = json.dumps(payload)
+    assert old in text
+    return text.replace(old, new).encode()
+
+
+# numbers valid JSON allows, written out: a point's past double range, and
+# a static component's whose pairing leaves it
+_BIG_POINT = _raw(_bool_point(), '"1": 1}', '"1": 1' + "0" * 400 + "}")
+_BIG_STATIC = _raw(
+    {"mode": "split", "p": 1, "r": 1, "components": [
+        {"dim": 4, "orientation": 1, "f0_pairs": 1, "fperp0_pairs": 1,
+         "numbers": {"p1(F)": 7, "p1(Fperp)": "1/7"}}]},
+    '"p1(F)": 7, "p1(Fperp)": "1/7"', '"p1(F)": 1' + "0" * 300 + ', "p1(Fperp)": "1/' + "7" * 300 + '"',
+)
+_WITTEN_2 = ["genus", "compute", "--genus", "witten", "--order", "2", "--spec"]
 _SUBDIRAC = ["genus", "compute", "--genus", "subdirac", "--order", "1", "--spec"]
 _RANGE_POINT = ["--t", "0.2137+0.0123j", "--tau", "0.1+1j", "--model"]
 _THETA = ["theta", "check", "--kind", "theta", "--law", "S"]
@@ -301,6 +319,39 @@ _MALFORMED = {
         ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"],
         _free_point_of_rank(10**3999, speed=10**200),
     ),
+    # static values past double range: OverflowError in complex() and in the pairing
+    "point_number_past_double_range": (
+        ["equivariant", "H", "--t", "0.1", "--tau", "1j", "--model"], _BIG_POINT,
+    ),
+    "lefschetz_point_number_past_double_range": (
+        ["equivariant", "lefschetz", "--t", "0.1", "--tau", "1j", "--model"], _BIG_POINT,
+    ),
+    "jacobi_point_number_past_double_range": (
+        ["jacobi", "verify", "--samples", "2", "--model"], _BIG_POINT,
+    ),
+    "exact_point_number_past_double_range": (
+        ["equivariant", "H", "--exact", "--order", "4", "--t", "0.1", "--tau", "1j", "--model"],
+        _BIG_POINT,
+    ),
+    "static_numbers_past_double_range": (
+        ["equivariant", "G", "--t", "0.1", "--tau", "1j", "--model"], _BIG_STATIC,
+    ),
+    # rational strings other than an integer or "p/q": Fraction() reads exponents
+    # (and spends 13 s on the integer of 1e10000000) and decimals
+    "number_exponent_string": (
+        _WITTEN_2, _raw({"dim": 4, "numbers": {"p1": "3"}}, '"3"', '"1e5000"'),
+    ),
+    "number_exponent_string_of_ten_million": (
+        _WITTEN_2, _raw({"dim": 4, "numbers": {"p1": "3"}}, '"3"', '"1e10000000"'),
+    ),
+    "number_decimal_string": (
+        _WITTEN_2, _raw({"dim": 4, "numbers": {"p1": "3"}}, '"3"', '"1.5"'),
+    ),
+    # a 4299-digit number, under the parse limit, gives values past the print limit
+    "witten_value_past_digit_limit": (
+        ["genus", "compute", "--genus", "witten", "--order", "30", "--spec"],
+        _raw({"dim": 4, "numbers": {"p1": 3}}, '"p1": 3', '"p1": ' + "9" * 4299),
+    ),
     # files that json.loads cannot read although their syntax is not at fault
     # (raw text, not json.dumps output)
     "integer_of_5001_digits": (
@@ -420,6 +471,17 @@ def test_malformed_payload_exit_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2
     assert json.loads(proc.stdout, parse_constant=_no_constant)["error"]["type"] == "SchemaError"
     assert "Traceback" not in proc.stderr
+
+
+def test_exponent_literal_is_refused_before_it_is_built():
+    from genusforge.errors import SchemaError
+    from genusforge.rings import as_fraction
+
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="bad rational literal"):
+        as_fraction("1e10000000")
+    assert time.perf_counter() - start < 1.0
+    assert [as_fraction(x) for x in ("-3", "+3/4", "10/4", 5)] == [-3, 0.75, 2.5, 5]
 
 
 def test_exact_value_near_a_pole_is_right_or_refused(tmp_path):

@@ -88,19 +88,30 @@ def test_density_k3_strings():
     assert term_strings(index_density(K3)) == {"1": "1/1", "p1(F)": "-1/24"}
 
 
+def _one_slot(c):
+    """A static class as the one-slot series twist of its degree."""
+    return QSeries(GradedPoly({}, c.top), 0, [c], 1)
+
+
 def test_density_static_twist():
     top = 4
-    phi = GradedPoly.constant(2, top) + GradedPoly.generator("p", "Fperp", 1, top)
+    c = GradedPoly.constant(2, top) + GradedPoly.generator("p", "Fperp", 1, top)
     spec = SplitManifoldSpec(4, 1, 1, {"p1(F)": 0, "p1(Fperp)": 5})
-    got = index_density(spec, phi=phi)
+    got = index_density(spec, psi=_one_slot(c))
     base = ahat_poly(spec.F, top) * l_poly(spec.Fperp, top)
-    assert got == base * phi
-    with pytest.raises(SchemaError):
-        index_density(spec, phi=GradedPoly.constant(1, 8))
-    with pytest.raises(SchemaError):
-        index_density(spec, psi=QSeries.one(Fraction(0), 3))
-    with pytest.raises(SchemaError):
-        index_density(spec, psi="witten")
+    assert got == _one_slot(base * c)
+
+
+def test_twist_is_one_series_of_top_degree_classes():
+    spec = SplitManifoldSpec(4, 1, 1, {"p1(F)": 0, "p1(Fperp)": 5})
+    refused = (GradedPoly.constant(1, 4), QSeries.one(Fraction(0), 3), "witten",
+               _one_slot(GradedPoly.constant(1, 8)))
+    for fn in (index_density, subdirac_index):
+        for psi in refused:
+            with pytest.raises(SchemaError):
+                fn(spec, psi=psi)
+        with pytest.raises(TypeError):
+            fn(spec, phi=_one_slot(GradedPoly.constant(1, 4)))
 
 
 def test_subdirac_k3_is_two():
@@ -440,10 +451,11 @@ def test_subdirac_matches_slotwise_pairing_of_the_full_density():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegralityWarning)
             got = subdirac_index(spec, psi=psi)
-            static = subdirac_index(spec, psi=psi.coeffs[-1])
+            static = subdirac_index(spec, psi=_one_slot(psi.coeffs[-1]))
         want = [pair_fundamental(c, spec.numbers) for c in index_density(spec, psi=psi).coeffs]
         assert (got.offset, got.order, list(got.coeffs)) == (0, order, want), (dim, p, order)
-        assert static == pair_fundamental(index_density(spec, psi=psi.coeffs[-1]), spec.numbers)
+        (density,) = index_density(spec, psi=_one_slot(psi.coeffs[-1])).coeffs
+        assert list(static.coeffs) == [pair_fundamental(density, spec.numbers)]
 
 
 def test_subdirac_pairs_right_when_no_base_row_is_held(monkeypatch):
@@ -461,17 +473,15 @@ def test_subdirac_pairs_right_when_no_base_row_is_held(monkeypatch):
         psi = witten_element(KClass.bundle(spec.F, dim), order)
         phi = witten_element(KClass.bundle(spec.Fperp, dim), order)
         static = psi.coeffs[-1] + GradedPoly.constant(rng.randint(1, 5), dim)
-        for twists in ({"psi": static}, {"psi": psi}, {"psi": static, "phi": phi}):
+        # a static class is its one-slot series, and two twists are their product
+        for twist in (_one_slot(static), psi, phi * static, psi * phi):
             genus._top_products.cache_clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegralityWarning)
-                got = subdirac_index(spec, **twists)
-            density = index_density(spec, **twists)
-            if isinstance(density, GradedPoly):
-                assert got == pair_fundamental(density, spec.numbers), (dim, p)
-            else:
-                want = [pair_fundamental(c, spec.numbers) for c in density.coeffs]
-                assert (got.order, list(got.coeffs)) == (order, want), (dim, p, twists)
+                got = subdirac_index(spec, psi=twist)
+            want = [pair_fundamental(c, spec.numbers)
+                    for c in index_density(spec, psi=twist).coeffs]
+            assert (got.order, list(got.coeffs)) == (twist.order, want), (dim, p, twist.order)
         assert not series._PREFIX_ROWS
 
 

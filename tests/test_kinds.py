@@ -82,7 +82,7 @@ def test_library_series_hold_their_own_kind(name, series, kind):
 
 def _units():
     """One series of each kind with a unit lead (the graded ones have no inverse)."""
-    rational = QSeries.from_terms(Fraction(0), {0: 1, Fraction(1, 2): -3, 2: Fraction(1, 4)}, 8)
+    rational = QSeries(Fraction(0), 0, [Fraction(c) for c in (1, -3, 0, 0, Fraction(1, 4))], 8)
     laurent = theta_qseries("theta1", 8).body
     graded = witten_element(KClass.bundle(BundleRoots(2, "F"), 8), 6)
     return {"rational": rational, "laurent": laurent, "graded": graded}
