@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from genusforge.rings import LaurentZ
 from genusforge.series import QSeries
 from genusforge.charclass import BundleRoots, CharNumbers, GradedPoly
-from genusforge.ktheory import KClass, lambda_total, sym_total, witten_element, r_variants
+from genusforge.ktheory import KClass, witten_element
 from genusforge.theta import (
     THETA,
     THETA1,
@@ -43,7 +43,7 @@ from genusforge.equivariant import (
 __all__ = [
     "LaurentZ", "QSeries",
     "BundleRoots", "CharNumbers", "GradedPoly",
-    "KClass", "lambda_total", "sym_total", "witten_element", "r_variants",
+    "KClass", "witten_element",
     "THETA", "THETA1", "THETA2", "THETA3",
     "theta_eval", "theta_prime0", "theta_qseries", "verify_transform",
     "IntegralityWarning", "SplitManifoldSpec", "ahat_genus", "l_genus",

@@ -449,13 +449,12 @@ class ExpWalk:
     The walk visits every multiset {v^m_v} of entries of total degree at
     most top, and keeps in `steps`, in walk order, those that are needed:
     all of them, or with exact those of degree top and the prefixes that
-    lead to one.  A step is (v, base, m, skip, terms): its series is the
-    series of step `base` (-1: the constant 1) times L_v, m is the
-    multiplicity of v, skip is the first step past every multiset built
-    on this one (so a vanishing series skips them all), and terms is None
-    for a prefix, else the p-expansion of prod s^lambda as (index into
-    monos, integer coefficient) pairs.  root_terms is that of the empty
-    multiset, or None when exact excludes it.  Everything is a tuple.
+    lead to one.  A step is (v, base, m, terms): its series is the series
+    of step `base` (-1: the constant 1) times L_v, m is the multiplicity
+    of v, and terms is None for a prefix, else the p-expansion of
+    prod s^lambda as (index into monos, integer coefficient) pairs.
+    root_terms is that of the empty multiset, or None when exact excludes
+    it.  Everything is a tuple.
     """
 
     __slots__ = ("monos", "steps", "root_terms")
@@ -486,24 +485,19 @@ class ExpWalk:
                 k = ks[v]
                 last = max((m for m in range(1, left // k + 1) if fill[v + 1][left - m * k]),
                            default=0)
-                first, base, p = len(steps), parent, poly
+                base, p = parent, poly
                 for m in range(1, last + 1):
                     p = p * xs[v]
                     here = len(steps)
-                    steps.append([v, base, m, None, None])
-                    if not exact or left == m * k:
-                        steps[here][4] = terms(p)
+                    steps.append((v, base, m, terms(p) if not exact or left == m * k else None))
                     walk(v + 1, left - m * k, here, p)
                     base = here
-                for step in steps[first:]:
-                    if step[3] is None:
-                        step[3] = len(steps)
 
         one = GradedPoly.constant(1, top)
         self.root_terms = terms(one) if not exact or units == 0 else None
         if units:
             walk(0, units, -1, one)
-        self.steps = tuple(tuple(step) for step in steps)
+        self.steps = tuple(steps)
         self.monos = tuple(index)
 
 
@@ -526,8 +520,10 @@ def power_sum_exp(logs, order: int, top: int, exact: bool = False):
     first occur: slot n of the exponential is sum row[n] / den * mono.
 
     The symbolic half, the multisets and their expansions, is the cached
-    exp_walk of the entries; only the series are convolved here, once per
-    multiset, each from the series of its prefix.
+    exp_walk of the entries; only the series are convolved here, one per
+    step (v, base, m, terms), each from the series of its prefix.  A
+    series that vanishes adds no part, so the denominator is the lcm over
+    the nonzero ones.
     """
     if exact and top % 4:
         return (), 1
@@ -536,23 +532,17 @@ def power_sum_exp(logs, order: int, top: int, exact: bool = False):
     parts = []
     if walk.root_terms is not None:
         parts.append(([1] + [0] * (order - 1) if order > 0 else [], 1, walk.root_terms))
-    rows, dens = [None] * len(walk.steps), [1] * len(walk.steps)
-    steps = walk.steps
-    i = 0
-    while i < len(steps):
-        v, base, m, skip, terms = steps[i]
+    rows, dens = [], []
+    for v, base, m, terms in walk.steps:
         _, _, lrow, lden = logs[v]
         if base < 0:
             row, den = list(lrow[:order]) + [0] * (order - len(lrow)), lden
         else:
             row, den = convolve_trunc(rows[base], lrow, order, 0), dens[base] * lden * m
-        if not any(row):
-            i = skip
-            continue
-        rows[i], dens[i] = row, den
-        if terms is not None:
+        rows.append(row)
+        dens.append(den)
+        if terms is not None and any(row):
             parts.append((row, den, terms))
-        i += 1
     den = math.lcm(*(d for _, d, _ in parts))
     totals = {}
     for row, d, terms in parts:

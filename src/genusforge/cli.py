@@ -25,7 +25,6 @@ import math
 import random
 import sys
 import warnings
-from fractions import Fraction
 
 from genusforge import catalog as _catalog
 from genusforge.charclass import CharNumbers

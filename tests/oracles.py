@@ -382,6 +382,22 @@ def wadd(a, b):
     return {p: c for p, c in out.items() if c}
 
 
+def wdivide(num, den):
+    """The exact quotient num / den of two w-Laurent dicts, or None when
+    den leaves a remainder.  Long division from the top term down."""
+    rest = {p: Fraction(c) for p, c in num.items() if c}
+    top, low = max(den), min(den)
+    out = {}
+    while rest:
+        high = max(rest)
+        if high - min(rest) < top - low:
+            return None
+        power, coeff = high - top, rest[high] / den[top]
+        out[power] = coeff
+        rest = wadd(rest, {power + p: -coeff * c for p, c in den.items()})
+    return out
+
+
 class WRat:
     """Rational function num/den in w with integer exponents."""
 

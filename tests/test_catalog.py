@@ -126,6 +126,18 @@ def test_spin_entries_subdirac_integral():
             assert series.coefficient(Q(k, 2)).denominator == 1, (name, k)
 
 
+def test_witten_and_split_genera_raise_no_warning_without_spin():
+    # only subdirac_index checks integrality, so the selftest needs no warning guard
+    cp2 = get("cp2").build()
+    assert not cp2.spin
+    non_spin = SplitManifoldSpec(4, 1, 1, {"p1(F)": 3, "p1(Fperp)": 0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        witten_genus(cp2, SERIES_ORDER)
+        for variant in ("R", "R1", "R2"):
+            split_genus(non_spin, variant, SERIES_ORDER)
+
+
 def test_equivariant_entries_vanish_as_expected():
     assert h_series(get("s2_rotation").build(), 8).is_zero()
     assert h_series(get("s2rot_x_t2").build(), 8).is_zero()

@@ -33,7 +33,9 @@ from genusforge.equivariant import (
     shift_factor,
     subgroup_member,
 )
+from genusforge.charclass import CharNumbers
 from genusforge.errors import MissingNumberError, PoleError, SchemaError
+from genusforge.genus import SplitManifoldSpec, split_genus, witten_genus
 from genusforge.ktheory import tower_slots
 from genusforge.rings import LaurentZ
 from genusforge.series import QSeries
@@ -51,6 +53,7 @@ from oracles import (
     tmul,
     tsubst,
     two_fixed_point_sum,
+    wdivide,
     wlift,
     wmul,
 )
@@ -303,9 +306,6 @@ def test_torus_model_vanishes():
 
 def test_static_split_component_matches_witten():
     # a split model whose only component is static is the plain genus
-    from genusforge.charclass import CharNumbers
-    from genusforge.genus import witten_genus
-
     model = EquivariantModel("split", 2, 0, 0, [
         FixedComponent(4, 1, 2, 0, numbers={"p1(F)": -48}),
     ])
@@ -578,6 +578,63 @@ def test_static_series_shortcuts_match_full_tower():
     gap = FixedComponent(8, 1, 2, 2, moving_f=[(1, 1)], numbers={"p2(F)": 0})
     with pytest.raises(MissingNumberError):
         _static_series(gap, "G", 4)
+
+
+# ---------------------------------------------------------------------------
+# localization: the fixed-point sum of a closed manifold against its global genus
+
+
+def hp2_model(mode, a=(1, 3, 7)):
+    """HP^2 with a circle acting by weights a: three fixed points of
+    orientation +1 and number 1, point i with rank-1 moving blocks of speeds
+    a_i + a_j and a_i - a_j (j != i), F blocks when foliated, Fperp when split."""
+    key = "moving_f" if mode == "foliated" else "moving_fperp"
+    return EquivariantModel.from_json({
+        "mode": mode, "p": 4 if mode == "foliated" else 0, "r": 0 if mode == "foliated" else 4,
+        "components": [{"dim": 0, "orientation": 1, "numbers": {"1": 1},
+                        key: [[1, a[i] + s * a[j]] for j in range(3) if j != i for s in (1, -1)]}
+                       for i in range(3)]})
+
+
+def localized(series):
+    """Each q-slot's numerator divided exactly by the denominator: a character."""
+    den = laurent_dict(series.den)
+    quotients = [wdivide(laurent_dict(slot), den) for slot in series.num.coeffs]
+    assert None not in quotients, "a slot is not a character"
+    return quotients
+
+
+def test_the_division_referee_sees_a_remainder():
+    assert wdivide({2: 1, -2: -1}, {1: 1, -1: -1}) == {1: 1, -1: 1}
+    assert wdivide({2: 1, -2: 1}, {1: 1, -1: -1}) is None
+
+
+@pytest.mark.parametrize("function", ["H", "G", "G1", "G2"])
+def test_hp2_fixed_point_sums_are_characters(function):
+    if function == "H":
+        series = h_series(hp2_model("foliated"), 8)
+    else:
+        series = g_series(hp2_model("split"), function, 8)
+    assert len(localized(series)) == 8
+
+
+def test_localized_h_is_the_witten_genus_of_hp2():
+    quotients = localized(h_series(hp2_model("foliated"), 8))
+    want = witten_genus(CharNumbers(8, {"p1^2": 4, "p2": 7}), 8)
+    assert [sum(q.values()) for q in quotients] == list(want.coeffs)
+    assert [sum(q.values()) for q in quotients] == [0, 0, -1, 0, -6, 0, -12, 0]
+    # the q^2 and q^3 slots are not rigid
+    assert (len(quotients[4]), len(quotients[6])) == (11, 19)
+
+
+@pytest.mark.parametrize("variant, twist, sign", [("G1", "R2", 1), ("G2", "R1", -1)])
+def test_localized_g1_g2_are_rigid_and_equal_the_split_genus(variant, twist, sign):
+    quotients = localized(g_series(hp2_model("split"), variant, 8))
+    assert all(set(q) <= {0} for q in quotients)
+    values = [q.get(0, 0) for q in quotients]
+    spec = SplitManifoldSpec(8, 0, 4, {"p1(Fperp)^2": 4, "p2(Fperp)": 7})
+    assert values == list(split_genus(spec, twist, 8).coeffs)
+    assert values == [c * sign ** k for k, c in enumerate([0, 1, 8, 28, 64, 126, 224, 344])]
 
 
 # ---------------------------------------------------------------------------
