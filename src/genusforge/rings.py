@@ -7,9 +7,7 @@ zero by truthiness and compares them with ==.  The helpers here also read
 exact rationals and integers out of JSON payloads.
 
 laurent_mul and laurent_add are the one product and sum of sparse Laurent
-maps {exponent: nonzero coefficient}, for LaurentZ and the exact rows alike;
-the product is taken term by term, so its cost follows the terms, not the
-exponent spans.
+maps {exponent: nonzero coefficient}, for LaurentZ and the exact rows alike.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
+from genusforge._kernels import convolve_full
 from genusforge.errors import RingMismatchError, SchemaError
 
 
@@ -92,14 +91,24 @@ _QZERO = Fraction(0)
 def laurent_mul(a: dict, b: dict) -> dict:
     """Product of two sparse Laurent polynomials, in ascending exponent order.
 
-    Term by term, so a wide gap such as in w^s - w^-s costs nothing.
+    Convolved dense over their spans, or term by term where those spans
+    hold more slots than there are term pairs (a wide gap such as in
+    w^s - w^-s would cost memory in the span, not in the terms).
     """
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: out[e] for e in sorted(out) if out[e]}
+    if not a or not b:
+        return {}
+    lo_a, hi_a, lo_b, hi_b = min(a), max(a), min(b), max(b)
+    if hi_a - lo_a + hi_b - lo_b + 2 > len(a) * len(b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = ea + eb
+                out[e] = out.get(e, 0) + ca * cb
+        return {e: out[e] for e in sorted(out) if out[e]}
+    out = convolve_full([a.get(e, 0) for e in range(lo_a, hi_a + 1)],
+                        [b.get(e, 0) for e in range(lo_b, hi_b + 1)], 0)
+    lo = lo_a + lo_b
+    return {lo + i: c for i, c in enumerate(out) if c}
 
 
 def laurent_add(a: dict, b: dict) -> dict:
