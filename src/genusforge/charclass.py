@@ -46,7 +46,7 @@ from genusforge.errors import (
     RingMismatchError,
     SchemaError,
 )
-from genusforge.rings import as_fraction, as_int, fraction_str
+from genusforge.rings import as_fraction, as_int, fraction_str, payload_fields
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -651,19 +651,19 @@ class CharNumbers:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CharNumbers":
-        if not isinstance(obj, dict) or "dim" not in obj or "numbers" not in obj:
-            raise SchemaError("characteristic numbers need 'dim' and 'numbers'")
-        return cls.from_fields(as_int(obj["dim"], "dim"), obj["numbers"], obj.get("spin"))
+        return cls.from_fields(**payload_fields(obj, "characteristic numbers",
+                                                ("dim", "numbers"), spin=None))
 
     @classmethod
     def from_fields(cls, dim: int, numbers, spin: bool | None = None) -> "CharNumbers":
         """CharNumbers from payload fields, raising SchemaError for any fault in them.
 
-        A negative dim, a monomial of the wrong degree or a number that is
-        not an exact rational is bad input here, not a bookkeeping error.
+        A dim that is not an integer or is negative, a monomial of the wrong
+        degree or a number that is not an exact rational is bad input here,
+        not a bookkeeping error.
         """
         try:
-            return cls(dim, numbers, spin)
+            return cls(as_int(dim, "dim"), numbers, spin)
         except (DimensionError, RingMismatchError) as exc:
             raise SchemaError(str(exc)) from None
 

@@ -57,6 +57,7 @@ from genusforge.rings import (
     fraction_str,
     laurent_add,
     laurent_mul,
+    payload_fields,
 )
 from genusforge.series import QSeries, prefix_rows
 from genusforge.theta import (
@@ -249,20 +250,9 @@ class FixedComponent:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FixedComponent":
-        if not isinstance(obj, dict):
-            raise SchemaError("fixed component payload must be an object")
-        for key in ("dim", "orientation"):
-            if key not in obj:
-                raise SchemaError(f"fixed component payload is missing {key!r}")
-        return cls(
-            obj["dim"],
-            obj["orientation"],
-            obj.get("f0_pairs", 0),
-            obj.get("fperp0_pairs", 0),
-            obj.get("moving_f", ()),
-            obj.get("moving_fperp", ()),
-            obj.get("numbers", {}),
-        )
+        return cls(**payload_fields(obj, "fixed component", ("dim", "orientation"),
+                                    f0_pairs=0, fperp0_pairs=0, moving_f=(), moving_fperp=(),
+                                    numbers=None))
 
 
 class EquivariantModel:
@@ -307,12 +297,7 @@ class EquivariantModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EquivariantModel":
-        if not isinstance(obj, dict):
-            raise SchemaError("model payload must be an object")
-        for key in ("mode", "p", "r", "components"):
-            if key not in obj:
-                raise SchemaError(f"model payload is missing {key!r}")
-        return cls(obj["mode"], obj["p"], obj["r"], obj.get("l", 0), obj["components"])
+        return cls(**payload_fields(obj, "model", ("mode", "p", "r", "components"), l=0))
 
     def speeds(self):
         out = set()
@@ -840,12 +825,21 @@ def lefschetz_eval(model: EquivariantModel, t, tau, function: str = "H",
 
 
 def slash_value(fn, meta: JacobiFormMeta, mat, t, tau) -> complex:
-    """(fn |_{weight, index} mat)(t, tau)."""
+    """(fn |_{weight, index} mat)(t, tau); past double range, such as at the
+    weight p + r - l = -996 of a model with l = 1000, it is a SchemaError."""
     (a, b), (c, d) = _check_matrix(mat)
     denom = c * complex(tau) + d
     value = fn(complex(t) / denom, (a * complex(tau) + b) / denom)
-    phase = cmath.exp(-2j * math.pi * complex(meta.index) * c * complex(t) ** 2 / denom)
-    return denom ** (-meta.weight) * phase * value
+    try:
+        phase = cmath.exp(-2j * math.pi * complex(meta.index) * c * complex(t) ** 2 / denom)
+        out = denom ** (-meta.weight) * phase * value
+    except (OverflowError, ZeroDivisionError):  # the latter from a power past double range
+        out = math.inf
+    if not cmath.isfinite(out):
+        raise SchemaError(f"the slash of weight {meta.weight} by {mat} at t = {complex(t)}, "
+                          f"tau = {complex(tau)} is past the double-range bound "
+                          f"{sys.float_info.max:.4g}")
+    return out
 
 
 def shift_factor(meta: JacobiFormMeta, lam, t, tau) -> complex:
@@ -869,32 +863,21 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8) -> dic
     """
     samples = list(samples)
     rows = []
-    worst = 0.0
     for t, tau in samples:
         base = fn(t, tau)
         # the shifted values next, at the base's tau, so that an evaluator's nome serves them
         shifted = [fn(complex(t) + meta.lattice * a * complex(tau) + meta.lattice * b, tau)
                    for a, b in _SHIFTS]
+        where = {"t": f"{complex(t):.6g}", "tau": f"{complex(tau):.6g}"}
         for mat in GENERATORS[meta.subgroup]:
-            lhs = slash_value(fn, meta, mat, t, tau)
-            residual = abs(lhs - base)
-            rows.append({
-                "law": "matrix", "matrix": [list(mat[0]), list(mat[1])],
-                "t": f"{complex(t):.6g}", "tau": f"{complex(tau):.6g}",
-                "residual": residual,
-            })
-            worst = max(worst, residual)
+            rows.append({"law": "matrix", "matrix": [list(mat[0]), list(mat[1])], **where,
+                         "residual": abs(slash_value(fn, meta, mat, t, tau) - base)})
         for (a, b), lhs in zip(_SHIFTS, shifted):
             lam, mu = meta.lattice * a, meta.lattice * b
             rhs = shift_factor(meta, lam, t, tau) * base
-            scale = max(1.0, abs(lhs), abs(rhs))
-            residual = abs(lhs - rhs) / scale
-            rows.append({
-                "law": "shift", "shift": [lam, mu],
-                "t": f"{complex(t):.6g}", "tau": f"{complex(tau):.6g}",
-                "residual": residual,
-            })
-            worst = max(worst, residual)
+            rows.append({"law": "shift", "shift": [lam, mu], **where,
+                         "residual": abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))})
+    worst = max([0.0] + [row["residual"] for row in rows])
     return {
         "meta": meta.to_json(),
         "samples": len(samples),

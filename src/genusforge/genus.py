@@ -56,7 +56,7 @@ from genusforge.charclass import (
 )
 from genusforge.errors import SchemaError
 from genusforge.ktheory import power_rows, tower_rows, tower_values
-from genusforge.rings import as_int
+from genusforge.rings import as_int, payload_fields
 from genusforge.series import QSeries
 from genusforge.theta import Nome
 
@@ -128,19 +128,9 @@ class SplitManifoldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SplitManifoldSpec":
-        if not isinstance(obj, dict):
-            raise SchemaError("split manifold payload must be an object")
-        for key in ("dim", "f_pairs", "fperp_pairs", "numbers"):
-            if key not in obj:
-                raise SchemaError(f"split manifold payload is missing {key!r}")
-        return cls(
-            obj["dim"],
-            obj["f_pairs"],
-            obj["fperp_pairs"],
-            obj["numbers"],
-            obj.get("f_spin", False),
-            obj.get("m_spin", False),
-        )
+        return cls(**payload_fields(obj, "split manifold",
+                                    ("dim", "f_pairs", "fperp_pairs", "numbers"),
+                                    f_spin=False, m_spin=False))
 
     def __repr__(self):
         return (

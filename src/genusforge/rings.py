@@ -4,7 +4,8 @@ Rationals are Fractions; LaurentZ is a Laurent polynomial in one formal
 variable over the rationals (charclass adds GradedPoly, the graded
 classes).  Every kind is exact, so a series tests its coefficients for
 zero by truthiness and compares them with ==.  The helpers here also read
-exact rationals and integers out of JSON payloads.
+exact rationals and integers out of JSON payloads, and payload_fields is
+the one reader of a payload object's fields for every from_json.
 
 laurent_mul and laurent_add are the one product and sum of sparse Laurent
 maps {exponent: nonzero coefficient}, for LaurentZ and the exact rows alike.
@@ -63,6 +64,21 @@ def as_int(value, what: str) -> int:
     if not isinstance(value, str) and out != value:
         raise SchemaError(f"{what} must be an integer, not {value!r}")
     return out
+
+
+def payload_fields(obj, what: str, required, **defaults) -> dict:
+    """A constructor's keyword arguments from a JSON payload object: every
+    required key, and each key of defaults or, where it is absent, its
+    default, handed on as it is (so a default is never a mutable object).
+    Other keys are ignored.  A payload that is not an object or lacks a
+    required key is a SchemaError."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} payload must be an object")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{what} payload is missing {key!r}")
+    return {**{key: obj[key] for key in required},
+            **{key: obj.get(key, value) for key, value in defaults.items()}}
 
 
 def fraction_str(x: Fraction) -> str:

@@ -394,90 +394,59 @@ def _s_factor(t, tau, extra_inv_i):
     return out
 
 
-def _lattice_factor(a, t, tau, sign):
-    return cmath.exp(sign * 1j * cmath.pi * (a * a * tau + 2 * a * t))
-
-
 def verify_transform(kind, law, samples, tol: float = 1e-9) -> dict:
     """Residual report for a transformation law over sample points.
 
-    law is "S", "T", or ("lattice", a, b) with even integers a, b.  For the
-    lattice law both exponent sign conventions are measured and the report
-    names the one that holds; nothing is asserted here.  Lattice residuals
-    are scaled by the value magnitude: a shift by a*tau multiplies theta by
-    a factor of size e^(pi(a^2 Im tau + 2a Im t)), so an absolute residual
-    would drown the comparison at machine precision.  S and T residuals
-    stay absolute, as their values remain of moderate size on the
-    documented sample domain.
+    law is "S", "T", or ("lattice", a, b) with even integers a, b.  The S
+    and T laws compare theta_kind at the moved point with the partner kind
+    at (t, tau) times the law's factor (_T_LAW, or _S_LAW with _s_factor).
+    For the lattice law both exponent sign conventions are measured and the
+    report names the one that holds; nothing is asserted here.  Lattice
+    residuals are scaled by the value magnitude: a shift by a*tau
+    multiplies theta by a factor of size e^(pi(a^2 Im tau + 2a Im t)), so
+    an absolute residual would drown the comparison at machine precision.
+    S and T residuals stay absolute, as their values remain of moderate
+    size on the documented sample domain.
     """
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
-    rows = []
     if isinstance(law, (tuple, list)):
         name, a, b = law
         if name != "lattice":
             raise SchemaError(f"unknown transformation law {law!r}")
         if a % 2 or b % 2:
             raise SchemaError("lattice shifts need even integers a, b")
-        neg_max = 0.0
-        pos_max = 0.0
-        for t, tau in samples:
+        label, keys = f"lattice({a},{b})", ("residual_negative", "residual_positive")
+
+        def residuals(t, tau):
             nome = Nome(tau)  # lhs and base share tau
             lhs = _theta_value(nome, kind, t + a * tau + b)
             base = _theta_value(nome, kind, t)
-            rhs_neg = _lattice_factor(a, t, tau, -1) * base
-            rhs_pos = _lattice_factor(a, t, tau, +1) * base
-            scale_neg = max(1.0, abs(lhs), abs(rhs_neg))
-            scale_pos = max(1.0, abs(lhs), abs(rhs_pos))
-            res_neg = abs(lhs - rhs_neg) / scale_neg
-            res_pos = abs(lhs - rhs_pos) / scale_pos
-            neg_max = max(neg_max, res_neg)
-            pos_max = max(pos_max, res_pos)
-            rows.append({
-                "t": str(t),
-                "tau": str(tau),
-                "residual_negative": res_neg,
-                "residual_positive": res_pos,
-            })
-        convention = "negative" if neg_max <= pos_max else "positive"
-        best = min(neg_max, pos_max)
-        return {
-            "kind": kind,
-            "law": f"lattice({a},{b})",
-            "samples": rows,
-            "max_residual_negative": neg_max,
-            "max_residual_positive": pos_max,
-            "sign_convention": convention,
-            "max_residual": best,
-            "tol": tol,
-            "pass": best <= tol,
-        }
-    if law == "T":
-        partner, factor = _T_LAW[kind]
-        worst = 0.0
-        for t, tau in samples:
-            lhs = theta_eval(kind, t, tau + 1)
-            rhs = factor * theta_eval(partner, t, tau)
-            res = abs(lhs - rhs)
-            worst = max(worst, res)
-            rows.append({"t": str(t), "tau": str(tau), "residual": res})
-    elif law == "S":
-        partner, extra = _S_LAW[kind]
-        worst = 0.0
-        for t, tau in samples:
-            tau = complex(tau)
-            lhs = theta_eval(kind, t / tau, -1 / tau)
-            rhs = _s_factor(t, tau, extra) * theta_eval(partner, t, tau)
-            res = abs(lhs - rhs)
-            worst = max(worst, res)
-            rows.append({"t": str(t), "tau": str(tau), "residual": res})
+            return [abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) for rhs in
+                    (cmath.exp(sign * 1j * cmath.pi * (a * a * tau + 2 * a * t)) * base
+                     for sign in (-1, 1))]
+    elif law in ("S", "T"):
+        label, keys = law, ("residual",)
+        partner, arg = (_T_LAW if law == "T" else _S_LAW)[kind]
+
+        def residuals(t, tau):
+            if law == "T":
+                lhs, factor = theta_eval(kind, t, tau + 1), arg
+            else:
+                lhs, factor = theta_eval(kind, t / tau, -1 / tau), _s_factor(t, tau, arg)
+            return [abs(lhs - factor * theta_eval(partner, t, tau))]
     else:
         raise SchemaError(f"unknown transformation law {law!r}")
-    return {
-        "kind": kind,
-        "law": law,
-        "samples": rows,
-        "max_residual": worst,
-        "tol": tol,
-        "pass": worst <= tol,
-    }
+    rows = []
+    for t, tau in samples:
+        tau = complex(tau)
+        rows.append({"t": str(t), "tau": str(tau), **dict(zip(keys, residuals(t, tau)))})
+    maxima = [max([0.0] + [row[key] for row in rows]) for key in keys]
+    report = {"kind": kind, "law": label, "samples": rows}
+    if len(maxima) == 2:  # the lattice law names the sign convention that holds
+        neg, pos = maxima
+        report.update(max_residual_negative=neg, max_residual_positive=pos,
+                      sign_convention="negative" if neg <= pos else "positive")
+    best = min(maxima)
+    report.update({"max_residual": best, "tol": tol, "pass": best <= tol})
+    return report

@@ -4,8 +4,10 @@ The benchmark checks every exact result against the sha256 digest frozen in
 bench/data/<workload>.json.  Running a couple of rounds here, in process,
 catches a change of representation that alters an answer (or the shape in
 which it is reported) in the tier-1 suite, and not only in a benchmark run.
+The reports of `theta check`, which no workload runs, are frozen here too.
 """
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -64,3 +66,21 @@ def test_exact_digests_hold_on_a_cleared_and_on_a_warm_memo():
             assert _mismatches(workloads, w, jobs, expect) == [], name
             assert series._PREFIX_ROWS, name
             assert _mismatches(workloads, w, jobs[::-1], expect) == [], name
+
+
+# sha256 (first 16 hex digits) of the JSON text of each `theta check --kind theta1
+# --grid 3x2` report, with floats scrubbed as the cli-runs workload scrubs them and
+# keys in the order the CLI prints them
+_THETA_REPORTS = {"S": "aac404ec75e36665", "T": "dd0924082886517d",
+                  "lattice": "1d9e5a0cade26fe4"}
+
+
+def test_theta_check_reports_keep_their_shape():
+    from genusforge.cli import run
+
+    workloads = _load_workloads()
+    for law, want in _THETA_REPORTS.items():
+        code, report, _ = run(["theta", "check", "--law", law, "--kind", "theta1",
+                               "--grid", "3x2"])
+        text = json.dumps(workloads.canonical_report(report))
+        assert (code, hashlib.sha256(text.encode()).hexdigest()[:16]) == (0, want), text

@@ -336,6 +336,18 @@ _MALFORMED = {
     "static_numbers_past_double_range": (
         ["equivariant", "G", "--t", "0.1", "--tau", "1j", "--model"], _BIG_STATIC,
     ),
+    # the weight p + r - l = -996 puts the slash factor (c tau + d)^996 past double range
+    "jacobi_weight_past_double_range": (
+        ["jacobi", "verify", "--samples", "4", "--model"],
+        {"mode": "split", "p": 2, "r": 2, "l": 1000, "components": [
+            {"dim": 0, "orientation": -1, "numbers": {"1": 1},
+             "moving_f": [{"rank": 2, "m": 1}], "moving_fperp": [{"rank": 2, "n": 2}]}]},
+    ),
+    # at a weight of -1e308 the power raises ZeroDivisionError, not OverflowError
+    "jacobi_weight_of_1e308": (
+        ["jacobi", "verify", "--samples", "4", "--model"],
+        _raw(get("free_point").to_json()["model"], '"l": 0', '"l": 1e308'),
+    ),
     # rational strings other than an integer or "p/q": Fraction() reads exponents
     # (and spends 13 s on the integer of 1e10000000) and decimals
     "number_exponent_string": (
@@ -592,6 +604,32 @@ def test_mutated_catalog_payloads_exit_without_an_exception(tmp_path):
                 # bad input is a schema error, not a ring or degree bookkeeping fault
                 assert report["error"]["type"] not in ("RingMismatchError", "DimensionError"), (
                     argv, payload, report["error"])
+
+
+# integer fields set far past any real model; 1e308 is a JSON number that reads as an
+# integral float below the double-range bound of the pair counts, ranks and speeds
+_FUZZ_INTS = (10**3, 10**5, 1e308)
+
+
+def test_large_integer_fields_exit_without_an_exception(tmp_path):
+    # every integer field of every catalog payload, at each value, under a seeded command
+    rng = random.Random(3)
+    for name in list_entries():
+        entry = get(name)
+        for *path, last in _field_paths(entry.to_json()["model"]):
+            for value in _FUZZ_INTS:
+                payload = entry.to_json()["model"]
+                node = payload
+                for key in path:
+                    node = node[key]
+                if type(node[last]) is not int:
+                    continue
+                node[last] = value
+                argv = _fuzz_argv(entry.kind, payload, rng)
+                code, report, _ = run(argv + [write_model(tmp_path, name, payload)])
+                assert code in (0, 1, 2), (argv, payload)
+                if code == 2:
+                    assert report["error"]["type"] == "SchemaError", (argv, payload, report)
 
 
 @pytest.mark.parametrize("case", sorted(_POLES))
