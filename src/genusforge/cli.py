@@ -55,8 +55,8 @@ _SUBGROUPS = ("gamma0_2", "gamma_upper0_2", "gamma_theta", "sl2z")
 _FUNCTIONS = ("H", "G", "G1", "G2")
 
 # request caps, each measured at the cap on a 2-vCPU VM (Python 3.11.7):
-# --exact at order 64 and w-width 64 took at most 6.0 s (G, one Fperp
-# block of rank 64 at speed 1) and 31 MB; 1024 Jacobi samples took 0.6 s
+# --exact at order 64 and w-width 64 took at most 2.1 s and 33 MB (G1, rank-1
+# Fperp blocks at speeds 1-10 and 9; rank 64 took 0.43 s); 1024 Jacobi samples took 0.6 s
 # and 29 MB on a model of fixed points and 2.7-3.7 s and 28 MB on a full
 # static model at dim 24 (65 numbers), which sums its static towers once
 # per tau, three times a sample (the symbolic half of the pairing is built

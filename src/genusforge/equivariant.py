@@ -3,8 +3,8 @@
 A model lists fixed components.  Each component carries a static block of
 F and Fperp root pairs with its own characteristic numbers (a
 genus.SplitManifoldSpec), plus moving blocks that rotate with nonzero
-integer speeds.  The genus functions are assembled per component as (the
-split genus of the static block) times one theta quotient per moving block:
+integer speeds.  A component's genus function is (the split genus of its static
+block) times one theta quotient per moving block, to the power of its rank:
 
     moving F, speed m:      theta'(0) / (2 pi i theta(m t))
     moving Fperp, speed n:  theta'(0) theta_kind(n t) / (2 pi i theta(n t) theta_kind(0))
@@ -19,20 +19,20 @@ denominator), and a numeric evaluator at a point (t, tau).  The exact
 path works in sparse rows of exact numbers (the storage of LaurentZ,
 multiplied and added by rings.laurent_mul and laurent_add).  The product
 of the moving quotients depends only on the component's speed signature
-(block ranks, |speeds| and the variant), so it is built once per
-signature and held without the order (series.prefix_rows); a
-component's term is its signed static series convolved with those rows,
-over its own denominator.  The terms are folded as ExactSeries.__add__ would fold
-them (the tests' referee), and the sum is wrapped as an ExactSeries.  The numeric
-paths take their accuracy from tol alone: the static parts sum the Lambert
-series of their towers until the tail bound is below tol, and the moving
-blocks truncate their products when the dropped factors are.  One
-Evaluator sums every numeric value: it checks tau once and reads every
-component's q-powers from one theta.Nome, the quotients take the cancelled
-body form of the exact path (no q^(1/8), no 2 pi, c(q)^2 in place of four
-c(q)), and it keeps the nome and static values of the last tau it saw, so
-a Jacobi sample and its lattice shifts share them.  The slash action and
-lattice shifts give numeric Jacobi-law residual reports.
+(block ranks, |speeds| and the variant), so it is built once per signature,
+each theta factor raised once to its multiplicity (theta.power_rows), and held
+without the order (series.prefix_rows); a component's term is its signed
+static series convolved with those rows, over its own denominator.  The terms
+are folded as ExactSeries.__add__ would fold them (the tests' referee), and
+the sum is wrapped as an ExactSeries.  The numeric paths take their accuracy
+from tol alone: the static parts sum the Lambert series of their towers until
+the tail bound is below tol, and the moving blocks truncate their products
+when the dropped factors are.  One Evaluator sums every numeric value: it
+checks tau once and reads every component's q-powers from one theta.Nome, the
+quotients take the cancelled body form of the exact path (no q^(1/8), no 2 pi,
+c(q)^2 in place of four c(q)), and it keeps the nome and static values of the
+last tau it saw, so a Jacobi sample and its lattice shifts share them.  The
+slash action and lattice shifts give numeric Jacobi-law residual reports.
 
 Moving blocks over a positive-dimensional component would need the
 expansion of the theta quotients in the roots of that block; both paths
@@ -69,9 +69,8 @@ from genusforge.theta import (
     _factor_count,
     body_factors,
     check_tau,
-    divide_rows,
     euler_factors,
-    multiply_rows,
+    power_rows,
     reduced_st,
     rows_series,
     unit_rows,
@@ -494,33 +493,33 @@ def _moving_key(comp: FixedComponent, variant: str) -> tuple:
 
 
 def _build_moving_rows(key: tuple, order: int):
-    """The truncated product of the per-unit moving factors, as tuples of
+    """The truncated product of the moving factors, as tuples of
     (w-exponent, coefficient) rows, and their coefficient count.
 
-    Per unit of rank, a moving F block of speed m contributes
-    c(q)^2 / body_theta(w^2m), and a moving Fperp block of speed n
-    c(q)^2 body_kind(w^2n) / (body_theta(w^2n) body_kind(1)), times
-    (w^n + w^-n) for G (kind theta1).
+    A moving F block of rank r and speed m contributes
+    (c(q)^2 / body_theta(w^2m))^r, and a moving Fperp block of rank r and
+    speed n (c(q)^2 body_kind(w^2n) / (body_theta(w^2n) body_kind(1)))^r, times
+    (w^n + w^-n)^r for G (kind theta1).  Each distinct factor is raised once,
+    to its summed signed multiplicity.
     """
     kind, f_blocks, fperp_blocks = key
     rows = unit_rows(order)
-    muls, divs = [], []
-    cq2 = euler_factors(order) * 2
+    parts = [(euler_factors(order), 2 * sum(rank for rank, _ in f_blocks + fperp_blocks))]
     for rank, m in f_blocks:
-        for _ in range(rank):
-            muls += cq2
-            divs += body_factors(THETA, order, 2 * m)
+        parts.append((body_factors(THETA, order, 2 * m), -rank))
     for rank, n in fperp_blocks:
-        for _ in range(rank):
-            muls += cq2 + body_factors(kind, order, 2 * n)
-            divs += body_factors(THETA, order, 2 * n) + body_factors(kind, order, 0)
-            if kind == THETA1:
+        parts += [(body_factors(kind, order, 2 * n), rank), (body_factors(kind, order, 0), -rank),
+                  (body_factors(THETA, order, 2 * n), -rank)]
+        if kind == THETA1:
+            for _ in range(rank):
                 rows[0] = laurent_mul(rows[0], {n: 1, -n: 1})
-    # q-only factors first, while the rows are still one entry wide
-    multiply_rows(rows, [f for f in muls if not f[2]])
-    divide_rows(rows, [f for f in divs if not f[2]])
-    multiply_rows(rows, [f for f in muls if f[2]])
-    divide_rows(rows, [f for f in divs if f[2]])
+    power = {}
+    for factors, r in parts:
+        for f in factors:  # a list, not a set: body_factors(kind, order, 0) holds each twice
+            power[f] = power.get(f, 0) + r
+    factors = [f + (r,) for f, r in power.items()]
+    # q-only factors first, while the rows are still one entry wide, and products first
+    power_rows(rows, sorted(factors, key=lambda f: (f[2] != 0, f[3] < 0)))
     return tuple(tuple(row.items()) for row in rows), sum(map(len, rows))
 
 
@@ -856,10 +855,11 @@ _SHIFTS = ((1, 0), (0, 1))
 def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8) -> dict:
     """Residual report for the Jacobi transformation laws of fn.
 
-    Matrix rows compare fn with its slash by each generator of the subgroup
-    (absolute residual).  Shift rows move t by meta.lattice * (a tau + b),
-    (a, b) in _SHIFTS, and compare against the elliptic factor; those values
-    scale by the factor's exponential, so their residuals are relative.
+    Matrix rows compare fn with its slash by each generator of the subgroup.
+    Shift rows move t by meta.lattice * (a tau + b), (a, b) in _SHIFTS, and
+    compare against the elliptic factor.  Every residual is relative,
+    |lhs - rhs| / max(1, |lhs|, |rhs|), so a large value is held to the same
+    digits as a small one.
     """
     samples = list(samples)
     rows = []
@@ -870,8 +870,9 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8) -> dic
                    for a, b in _SHIFTS]
         where = {"t": f"{complex(t):.6g}", "tau": f"{complex(tau):.6g}"}
         for mat in GENERATORS[meta.subgroup]:
+            lhs = slash_value(fn, meta, mat, t, tau)
             rows.append({"law": "matrix", "matrix": [list(mat[0]), list(mat[1])], **where,
-                         "residual": abs(slash_value(fn, meta, mat, t, tau) - base)})
+                         "residual": abs(lhs - base) / max(1.0, abs(lhs), abs(base))})
         for (a, b), lhs in zip(_SHIFTS, shifted):
             lam, mu = meta.lattice * a, meta.lattice * b
             rhs = shift_factor(meta, lam, t, tau) * base

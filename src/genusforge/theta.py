@@ -65,10 +65,11 @@ _PREFIX = {
 # rows[k] holds the q^(k/2) coefficient of a series as a sparse map
 # {z-exponent: coefficient}, the storage of LaurentZ itself: coefficients are
 # nonzero ints or Fractions, and a row becomes a LaurentZ by sorting its keys.
-# Every exact product in this package is a run of factors (1 + c q^(e/2) z^k),
-# written (e, c, k) with e >= 1, and each is a unit of the truncated ring, so
-# multiplying or dividing by one is a single pass over the rows and the
-# factors may be applied in any order.
+# Every exact product in this package is a run of powers of factors
+# (1 + c q^(e/2) z^k)^r, written (e, c, k, r) with e >= 1 and r signed.  Each
+# factor is a unit of the truncated ring, so the factors may be applied in
+# any order, and a power is one pass over the rows with the binomial terms
+# of the factor that fall below the window.
 
 
 def unit_rows(order: int) -> list:
@@ -97,43 +98,45 @@ def euler_factors(order: int) -> list:
     return [(e, -1, 0) for e in range(2, order, 2)]
 
 
-def multiply_rows(rows, factors):
-    """rows *= prod (1 + c q^(e/2) z^k), top-down shift-and-add in place."""
+def power_rows(rows, factors):
+    """rows *= prod (1 + c q^(e/2) z^k)^r over factors (e, c, k, r), in place.
+
+    A product (r > 0) runs top-down, so row n reads lower rows not yet
+    changed.  A quotient runs bottom-up, B[n] = A[n] - sum_j p_j z^jk B[n - je]
+    over the terms p_j q^(je/2), j >= 1, of the power, whose constant term is 1.
+    At |r| = 1 that is one shift-and-add with the sign folded into c.
+    """
     top = len(rows)
-    for e, c, k in factors:
-        for n in range(top - 1, e - 1, -1):
-            src = rows[n - e]
-            if src:
-                dst = rows[n]
-                for j, v in src.items():
-                    j += k
-                    x = dst.get(j, 0) + c * v
+    for e, c, k, r in factors:
+        span = range(top - 1, e - 1, -1) if r > 0 else range(e, top)
+        if r == 1 or r == -1:
+            c *= r
+            for n in span:
+                src = rows[n - e]
+                if src:
+                    dst = rows[n]
+                    for j, v in src.items():
+                        j += k
+                        x = dst.get(j, 0) + c * v
+                        if x:
+                            dst[j] = x
+                        else:
+                            del dst[j]
+            continue
+        terms = [(i * e, (1 if r > 0 else -1) * math.comb(abs(r), i) * c**i, i * k)
+                 for i in range(1, min(abs(r), (top - 1) // e) + 1)]
+        for n in span:
+            dst = rows[n]
+            for d, a, s in terms:
+                if d > n:
+                    break
+                for j, v in rows[n - d].items():
+                    j += s
+                    x = dst.get(j, 0) + a * v
                     if x:
                         dst[j] = x
                     else:
                         del dst[j]
-
-
-def divide_rows(rows, factors):
-    """rows /= prod (1 + c q^(e/2) z^k): B[n] = A[n] - c z^k B[n-e], bottom-up."""
-    top = len(rows)
-    for e, c, k in factors:
-        for n in range(e, top):
-            src = rows[n - e]
-            if src:
-                dst = rows[n]
-                for j, v in src.items():
-                    j += k
-                    x = dst.get(j, 0) - c * v
-                    if x:
-                        dst[j] = x
-                    else:
-                        del dst[j]
-
-
-def laurent_rows(series: QSeries) -> list:
-    """Rows of a Laurent-coefficient series: a copy of each coefficient's terms."""
-    return [dict(lz.terms) for lz in series.coeffs]
 
 
 def rows_series(rows, offset=0) -> QSeries:
@@ -155,12 +158,8 @@ class ThetaSeries:
 
     def expanded(self) -> QSeries:
         """body * c(q)**c_power shifted by the q-offset (trig stays symbolic)."""
-        rows = laurent_rows(self.body)
-        factors = euler_factors(self.body.order) * abs(self.c_power)
-        if self.c_power > 0:
-            multiply_rows(rows, factors)
-        else:
-            divide_rows(rows, factors)
+        rows = [dict(lz.terms) for lz in self.body.coeffs]
+        power_rows(rows, [f + (self.c_power,) for f in euler_factors(self.body.order)])
         return rows_series(rows, self.body.offset + self.q_offset)
 
     def __repr__(self):
@@ -173,7 +172,7 @@ class ThetaSeries:
 def euler_product(order: int) -> QSeries:
     """c(q) = prod (1 - q^n) truncated to the given slot count."""
     rows = unit_rows(order)
-    multiply_rows(rows, euler_factors(order))
+    power_rows(rows, [f + (1,) for f in euler_factors(order)])
     return rows_series(rows)
 
 
@@ -182,7 +181,7 @@ def theta_qseries(kind, order: int) -> ThetaSeries:
     if kind not in _BODY:
         raise SchemaError(f"unknown theta kind {kind!r}")
     rows = unit_rows(order)
-    multiply_rows(rows, body_factors(kind, order))
+    power_rows(rows, [f + (1,) for f in body_factors(kind, order)])
     c_power, q_offset, trig = _PREFIX[kind]
     return ThetaSeries(kind, c_power, q_offset, trig, rows_series(rows))
 

@@ -784,6 +784,14 @@ def test_jacobi_verify_passes(free_point_file):
     assert report["results"]["max_residual"] < 1e-8
 
 
+def test_jacobi_verify_passes_on_large_values(tmp_path):
+    # |H| is near 3.5e9 here; an absolute S-row residual of 6.3e-4 failed this model
+    path = write_model(tmp_path, "rank_100", _free_point_of_rank(100))
+    code, report, _ = run(["jacobi", "verify", "--samples", "4", "--model", path])
+    assert code == 0
+    assert report["results"]["max_residual"] < 1e-8
+
+
 def test_jacobi_wrong_subgroup_fails(free_split_file):
     code, report, _ = run(
         ["jacobi", "verify", "--model", free_split_file, "--subgroup", "sl2z"]

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import genusforge.equivariant as equivariant
 from genusforge.equivariant import (
     GENERATORS,
     MAT_S,
@@ -39,7 +40,7 @@ from genusforge.genus import SplitManifoldSpec, split_genus, witten_genus
 from genusforge.ktheory import tower_slots
 from genusforge.rings import LaurentZ
 from genusforge.series import QSeries
-from genusforge.theta import Nome, check_tau, theta_eval, theta_prime0
+from genusforge.theta import THETA1, Nome, check_tau, power_rows, theta_eval, theta_prime0
 
 from oracles import (
     euler_product_oracle,
@@ -374,10 +375,11 @@ def oracle_exact(model, function, order):
     return total
 
 
-def seeded_point_model(rng, mode):
-    """1-4 points sharing one moving F block shape, ranks 1-2, speeds +-1..+-3."""
-    rank, m = rng.randint(1, 2), rng.randint(1, 3)
-    r = rng.randint(1, 2) if mode == "split" else 0
+def seeded_point_model(rng, mode, min_rank=1, max_rank=2):
+    """1-4 points sharing one moving F block shape, block ranks in
+    [min_rank, max_rank], speeds +-1..+-3."""
+    rank, m = rng.randint(min_rank, max_rank), rng.randint(1, 3)
+    r = rng.randint(min_rank, max_rank) if mode == "split" else 0
     comps = []
     for _ in range(rng.randint(1, 4)):
         n = rng.choice([-1, 1]) * rng.randint(1, 3)
@@ -392,8 +394,12 @@ def seeded_point_model(rng, mode):
 
 def test_point_models_match_product_oracle():
     rng = random.Random(20240611)
-    for function in ("H", "G", "G1", "G2") * 3:
-        model = seeded_point_model(rng, "foliated" if function == "H" else "split")
+    # ranks 3-5 raise each body factor to a power |r| >= 3 in theta.power_rows
+    draws = [(f, 1, 2) for f in ("H", "G", "G1", "G2") * 3] + [
+        (f, 3, 5) for f in ("H", "G", "G1", "G2")]
+    for function, min_rank, max_rank in draws:
+        model = seeded_point_model(rng, "foliated" if function == "H" else "split",
+                                   min_rank, max_rank)
         order = rng.randint(3, 10)
         got = (h_series(model, order) if function == "H"
                else g_series(model, function, order))
@@ -402,6 +408,31 @@ def test_point_models_match_product_oracle():
         assert laurent_dict(got.den) == den
         got_num = {(e, k): c for e, lz in got.num.terms() for k, c in lz.items()}
         assert got_num == num, (function, model.to_json(), order)
+
+
+def test_moving_rows_raise_each_factor_once(monkeypatch):
+    # one power per distinct factor, at its summed multiplicity: no per-unit passes
+    calls = []
+
+    def counted(rows, factors):
+        calls.append(factors)
+        return power_rows(rows, factors)
+
+    monkeypatch.setattr(equivariant, "power_rows", counted)
+    rows, _ = equivariant._build_moving_rows((THETA1, (), ((64, 1),)), 12)
+    assert len(calls) == 1
+    factors = calls[0]
+    got = {(e, c, k): r for e, c, k, r in factors}
+    assert len(got) == len(factors)
+    want = {}
+    for e in range(2, 12, 2):
+        want.update({(e, -1, 0): 128, (e, 1, 0): -128})  # c(q)^2 and body_theta1(1) per unit
+        want.update({(e, 1, 2): 64, (e, 1, -2): 64, (e, -1, 2): -64, (e, -1, -2): -64})
+    assert got == want
+    # q-only factors first, and within each group the products first
+    assert factors == sorted(factors, key=lambda f: (f[2] != 0, f[3] < 0))
+    # the q^0 row is (w + 1/w)^64
+    assert dict(rows[0]) == {2 * j - 64: math.comb(64, j) for j in range(65)}
 
 
 def mixed_model(rng, function, dim):

@@ -36,6 +36,7 @@ from oracles import (
     referee_qpow,
     referee_theta,
     theta_body_oracle,
+    tinv,
     tmul,
 )
 
@@ -81,6 +82,12 @@ def test_bodies_match_product_oracle():
             assert (expanded.offset, expanded.order) == (ts.q_offset, order)
             shifted = {(e + ts.q_offset, k): c for (e, k), c in tmul(expect, euler, end).items()}
             assert body_dict(expanded) == shifted
+            # a negative c-power divides: the one-term and the binomial quotient passes
+            inverse = tinv(euler, end)
+            for c_power in (-1, -3):
+                got = ThetaSeries(kind, c_power, 0, "1", ts.body).expanded()
+                assert body_dict(got) == tmul(expect, inverse, end)
+                inverse = tmul(inverse, tmul(inverse, inverse, end), end)
 
 
 def test_body_examples():
