@@ -5,13 +5,12 @@ F and Fperp root pairs with its own characteristic numbers (a
 genus.SplitManifoldSpec), plus moving blocks that rotate with nonzero
 integer speeds.  A component's genus function is (the split genus of its static
 block) times one theta quotient per moving block, to the power of its rank:
-
-    moving F, speed m:      theta'(0) / (2 pi i theta(m t))
-    moving Fperp, speed n:  theta'(0) theta_kind(n t) / (2 pi i theta(n t) theta_kind(0))
-
-where theta_kind follows the variant (G: theta1 doubled by the cos(0)
-convention, G1: theta2, G2: theta3).  H is the foliated-mode function: the
-same assembly with the G static parts and no moving Fperp blocks.
+an F line at m t for a moving F block of speed m, and an Fperp line of the
+variant's kind at n t for a moving Fperp block of speed n (G: theta1, G1:
+theta2, G2: theta3).  The quotients themselves are theta's (quotient_rows,
+quotient_value, line_value); this module assembles the components.  H is
+the foliated-mode function: the same assembly with the G static parts and
+no moving Fperp blocks.
 
 Everything exists twice: an exact q-expansion with Laurent coefficients
 in w = e^(pi i t) (an ExactSeries, a series numerator over a q-free
@@ -19,20 +18,20 @@ denominator), and a numeric evaluator at a point (t, tau).  The exact
 path works in sparse rows of exact numbers (the storage of LaurentZ,
 multiplied and added by rings.laurent_mul and laurent_add).  The product
 of the moving quotients depends only on the component's speed signature
-(block ranks, |speeds| and the variant), so it is built once per signature,
-each theta factor raised once to its multiplicity (theta.power_rows), and held
-without the order (series.prefix_rows); a component's term is its signed
-static series convolved with those rows, over its own denominator.  The terms
-are folded as ExactSeries.__add__ would fold them (the tests' referee), and
-the sum is wrapped as an ExactSeries.  The numeric paths take their accuracy
-from tol alone: the static parts sum the Lambert series of their towers until
-the tail bound is below tol, and the moving blocks truncate their products
-when the dropped factors are.  One Evaluator sums every numeric value: it
-checks tau once and reads every component's q-powers from one theta.Nome, the
-quotients take the cancelled body form of the exact path (no q^(1/8), no 2 pi,
-c(q)^2 in place of four c(q)), and it keeps the nome and static values of the
-last tau it saw, so a Jacobi sample and its lattice shifts share them.  The
-slash action and lattice shifts give numeric Jacobi-law residual reports.
+(block ranks, |speeds| and the variant), so theta.quotient_rows builds it
+once per signature, held without the order (series.prefix_rows); a
+component's term is its signed static series convolved with those rows,
+over its own denominator.  The terms are folded as ExactSeries.__add__
+would fold them (the tests' referee), and the sum is wrapped as an
+ExactSeries.  The numeric paths take their accuracy from tol alone: the
+static parts sum the Lambert series of their towers until the tail bound
+is below tol, and the moving blocks truncate their products when the
+dropped factors are.  One Evaluator sums every numeric value: it checks tau
+once and reads every component's q-powers from one theta.Nome, takes each
+moving factor from its path's theta routine, and keeps the nome and static
+values of the last tau it saw, so a Jacobi sample and its lattice shifts
+share them.  The slash action and lattice shifts give numeric Jacobi-law
+residual reports.
 
 Moving blocks over a positive-dimensional component would need the
 expansion of the theta quotients in the roots of that block; both paths
@@ -61,32 +60,26 @@ from genusforge.rings import (
 )
 from genusforge.series import QSeries, prefix_rows
 from genusforge.theta import (
-    THETA,
     THETA1,
     THETA2,
     THETA3,
     Nome,
-    _factor_count,
-    body_factors,
     check_tau,
-    euler_factors,
-    power_rows,
+    checked_st,
+    line_value,
+    quotient_rows,
+    quotient_value,
     reduced_st,
     rows_series,
-    unit_rows,
 )
 
 POLE_TOL = 1e-8
-# bounds on pi Im(s t)^2 / Im(tau) and on |Im(s t)|, see check_poles
-GROWTH_BOUND = 690.0
-IM_ST_BOUND = 112.0
 # the relative truncation estimate and rounding bound past which
 # ExactSeries.eval refuses a value, the tolerance the tests and the
 # benchmark check values at
 EVAL_TOL = 1e-9
 
-# moving-Fperp theta kind and static Fperp twist tower per variant; the
-# doubled G line absorbs the value 2 of the cos factor of theta1 at 0
+# moving-Fperp theta kind and static Fperp twist tower per variant
 _VARIANT_THETA = {"G": THETA1, "G1": THETA2, "G2": THETA3}
 _VARIANT_TWIST = {"G": "R", "G1": "R2", "G2": "R1"}
 _VARIANT_SUBGROUP = {"H": "sl2z", "G": "gamma0_2", "G1": "gamma_upper0_2", "G2": "gamma_theta"}
@@ -492,44 +485,14 @@ def _moving_key(comp: FixedComponent, variant: str) -> tuple:
             tuple(sorted((rank, abs(m)) for rank, m in comp.moving_f)), fperp)
 
 
-def _build_moving_rows(key: tuple, order: int):
-    """The truncated product of the moving factors, as tuples of
-    (w-exponent, coefficient) rows, and their coefficient count.
-
-    A moving F block of rank r and speed m contributes
-    (c(q)^2 / body_theta(w^2m))^r, and a moving Fperp block of rank r and
-    speed n (c(q)^2 body_kind(w^2n) / (body_theta(w^2n) body_kind(1)))^r, times
-    (w^n + w^-n)^r for G (kind theta1).  Each distinct factor is raised once,
-    to its summed signed multiplicity.
-    """
-    kind, f_blocks, fperp_blocks = key
-    rows = unit_rows(order)
-    parts = [(euler_factors(order), 2 * sum(rank for rank, _ in f_blocks + fperp_blocks))]
-    for rank, m in f_blocks:
-        parts.append((body_factors(THETA, order, 2 * m), -rank))
-    for rank, n in fperp_blocks:
-        parts += [(body_factors(kind, order, 2 * n), rank), (body_factors(kind, order, 0), -rank),
-                  (body_factors(THETA, order, 2 * n), -rank)]
-        if kind == THETA1:
-            for _ in range(rank):
-                rows[0] = laurent_mul(rows[0], {n: 1, -n: 1})
-    power = {}
-    for factors, r in parts:
-        for f in factors:  # a list, not a set: body_factors(kind, order, 0) holds each twice
-            power[f] = power.get(f, 0) + r
-    factors = [f + (r,) for f, r in power.items()]
-    # q-only factors first, while the rows are still one entry wide, and products first
-    power_rows(rows, sorted(factors, key=lambda f: (f[2] != 0, f[3] < 0)))
-    return tuple(tuple(row.items()) for row in rows), sum(map(len, rows))
-
-
 def _component_rows(comp: FixedComponent, variant: str, order: int):
     """One component's term as (rows, den): numerator rows over its
     unexpanded denominator, both sparse {w-exponent: coefficient}.
 
     The numerator is the orientation times the static series (ints where
     integral), convolved, truncated, with the moving rows of the
-    component's speed signature (prefix_rows' ("moving", _moving_key));
+    component's speed signature (theta.quotient_rows, held by prefix_rows
+    under ("moving", _moving_key));
     over a point that is one scale, and a zero static series reads no
     moving rows.  Each unit of a moving block of speed s adds a factor
     (w^s - w^-s) to the denominator.
@@ -541,7 +504,7 @@ def _component_rows(comp: FixedComponent, variant: str, order: int):
     rows = [{} for _ in range(order)]
     if static:
         key = _moving_key(comp, variant)
-        moving = prefix_rows(("moving", key), order, _build_moving_rows, key)
+        moving = prefix_rows(("moving", key), order, quotient_rows, key)
         (i, s), rest = static[0], static[1:]
         rows[i:] = [{e: s * v for e, v in row} for row in moving[:order - i]]
         for i, s in rest:
@@ -627,23 +590,14 @@ def check_poles(model: EquivariantModel, t, tau):
 
     The theta quotients have poles on the lattice Z + tau Z, so s t (mod 2,
     theta.reduced_st) is first moved by round(Im(s t) / Im(tau)) tau and
-    then measured against the integers: within POLE_TOL is a PoleError.  The theta products
-    grow like exp(pi Im(s t)^2 / Im(tau)), which leaves double range near
-    exp(709): the quotient path returned NaN or raised from 706 on (Im tau
-    from the 0.05 floor to 20, every genus function).  Points past
-    GROWTH_BOUND = 690 are a SchemaError, and so are a non-finite t and an
-    s t past double range (a model refuses a speed past it).  Im(s t)^2 is
-    taken as a product, so a huge Im(s t) reads as past the bound, not as
-    an overflow.
-
-    A large Im(tau) admits a large Im(s t) under that bound, but the
-    theta factors form e^(2 pi i s t) on its own, which leaves double
-    range near |Im(s t)| = 709.78 / (2 pi) = 112.97.  Against mpmath
-    references (bench/refs.py) H, G, G1 and G2 on the quotient and the
-    Lefschetz paths stayed within 2e-13 of the reference, relative to
-    its modulus, through |Im(s t)| = 112.9 (Im(tau) set for growth 300
-    and 600), and raised OverflowError or ValueError from 113 on.  Points
-    past IM_ST_BOUND = 112 are a SchemaError.
+    then measured against the integers: within POLE_TOL is a PoleError.  A
+    non-finite t is a SchemaError, and so is an s t that theta.checked_st
+    refuses.  Without its bounds the quotient path returned NaN or raised from
+    a growth of 706 on (Im tau from the 0.05 floor to 20, every genus
+    function).  Against mpmath references (bench/refs.py) H, G, G1 and G2 on
+    both paths stayed within 2e-13 relative through |Im(s t)| = 112.9 (Im(tau)
+    set for growth 300 and 600), and raised OverflowError or ValueError from
+    113 on.
     """
     _check_points(model.speeds(), t, check_tau(tau))
 
@@ -654,111 +608,44 @@ def _check_points(speeds, t, tauc: complex):
     if not cmath.isfinite(tc):
         raise SchemaError(f"t = {tc} is not finite")
     for s in speeds:
-        if not cmath.isfinite(s * tc):
-            raise SchemaError(f"speed {s} puts {s}*t past double range")
-        x = reduced_st(s, tc)
-        growth = math.pi * x.imag * x.imag / tauc.imag
-        if growth > GROWTH_BOUND:
-            raise SchemaError(
-                f"speed {s} puts pi Im(s t)^2 / Im(tau) = {growth:.4g} past the bound "
-                f"{GROWTH_BOUND:g} of double-precision theta products"
-            )
-        if abs(x.imag) > IM_ST_BOUND:
-            raise SchemaError(
-                f"speed {s} puts |Im(s t)| = {abs(x.imag):.4g} past the bound "
-                f"{IM_ST_BOUND:g} of double-precision theta factors"
-            )
+        x = checked_st(s, tc, tauc, "speed {s}", "s t")
         y = x - round(x.imag / tauc.imag) * tauc
         if abs(y - round(y.real)) < POLE_TOL:
             raise PoleError(f"speed {s} puts {s}*t = {x:.12g} mod 2 on a pole")
 
 
-def _w_eval(m, t, nome: Nome) -> complex:
-    """theta'(0) / (2 pi i theta(x)) at x = m t, with the q^(1/8), the 2 pi
-    and two of the four c(q) factors cancelled: c(q)^2 / (2i sin(pi x) body_theta(z))."""
-    x = reduced_st(m, t)
-    z = cmath.exp(2j * math.pi * x)
-    return nome.euler_squared() / (2j * cmath.sin(math.pi * x) * nome.body(THETA, z))
-
-
-def _v_eval(variant, n, t, nome: Nome) -> complex:
-    """theta'(0) theta_k(x) / (2 pi i theta(x) theta_k(0)) at x = n t, cancelled
-    as in _w_eval: c(q)^2 body_k(z) / (2i sin(pi x) body_theta(z) body_k(1)),
-    times 2 cos(pi x) for G (the doubled cos(pi x) / cos(0) of theta1)."""
-    kind, x = _VARIANT_THETA[variant], reduced_st(n, t)
-    z = cmath.exp(2j * math.pi * x)
-    val = nome.euler_squared() * nome.body(kind, z)
-    val /= 2j * cmath.sin(math.pi * x) * nome.body(THETA, z) * nome.body_at_one(kind)
-    if variant == "G":
-        val *= 2.0 * cmath.cos(math.pi * x)
-    return val
-
-
-# the direct Lefschetz products: the same moving factors from per-line products
-
-
-def _w_direct(m, t, nome: Nome) -> complex:
-    x = reduced_st(m, t)
-    z = cmath.exp(2j * math.pi * x)
-    grow = max(abs(z), 1 / abs(z), 1.0)
-    out = 1 / (2 * cmath.sinh(1j * math.pi * x))
-    for qk in nome.powers(_factor_count(nome.absq, grow, nome.tol)):
-        out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
-    return out
-
-
-def _v_direct(variant, n, t, nome: Nome) -> complex:
-    x = reduced_st(n, t)
-    z = cmath.exp(2j * math.pi * x)
-    grow = max(abs(z), 1 / abs(z), 1.0)
-    terms = _factor_count(nome.absq ** 0.5, grow, nome.tol)
-    arg = 1j * math.pi * x
-    if variant == "G":
-        out = cmath.cosh(arg) / cmath.sinh(arg)
-        for qk in nome.powers(terms):
-            out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
-            out *= (1 + qk * z) * (1 + qk / z) / (1 + qk) ** 2
-        return out
-    out = 1 / (2 * cmath.sinh(arg))
-    # q^(k - 1/2) from the nome's e^(pi i tau): the principal power of q swaps G1 and G2
-    # at |Re tau| > 1/2
-    sign = -1 if variant == "G1" else 1
-    for qk, qh in zip(nome.powers(terms), nome.powers(terms, half=True)):
-        out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
-        out *= (1 + sign * qh * z) * (1 + sign * qh / z) / (1 + sign * qh) ** 2
-    return out
-
-
-# the (moving F, moving Fperp) factors of each numeric path
-_PATHS = {"quotient": (_w_eval, _v_eval), "lefschetz": (_w_direct, _v_direct)}
+# the moving factor of each numeric path
+_PATHS = {"quotient": quotient_value, "lefschetz": line_value}
 
 
 class Evaluator:
     """(t, tau) -> H or a G variant: the one sum of a numeric genus value.
 
     Each component adds its signed static value times its moving factors:
-    the theta quotients on the "quotient" path, the direct per-line
-    products on the "lefschetz" path.  The variant, the root-free check,
-    the speeds and the factor pair are settled once per model.  The
-    theta.Nome and the signed static values (a point's is its number) are
-    kept for the last tau, so a Jacobi sample and its lattice shifts share
-    them.  A call checks t and forms the moving factors.  check_poles
+    theta.quotient_value on the "quotient" path, theta.line_value on the
+    "lefschetz" path, each at its x = s t reduced mod 2.  The variant and
+    its Fperp kind, the root-free check, the speeds and the factor are
+    settled once per model.  The theta.Nome and the signed static values (a
+    point's is its number) are kept for the last tau, so a Jacobi sample and
+    its lattice shifts share them.  A call checks t and forms the moving
+    factors.  check_poles
     bounds each factor, not their product, which leaves double range from
     a total moving rank of 64 on: such a value is a SchemaError, and so is
     a static value past double range (a number such as 10**400).
     """
 
-    __slots__ = ("model", "variant", "tol", "speeds", "factors", "nome", "statics")
+    __slots__ = ("model", "variant", "kind", "tol", "speeds", "factor", "nome", "statics")
 
     def __init__(self, model: EquivariantModel, function: str = "H", tol: float = 1e-12,
                  path: str = "quotient"):
         self.model = model
         self.variant = _variant(model, function)
+        self.kind = _VARIANT_THETA[self.variant]
         for comp in model.components:
             _check_root_free(comp)
         self.tol = tol
         self.speeds = model.speeds()
-        self.factors = _PATHS[path]
+        self.factor = _PATHS[path]
         self.nome = self.statics = None
 
     def __call__(self, t, tau) -> complex:
@@ -774,14 +661,13 @@ class Evaluator:
                 raise SchemaError(f"a static value at tau = {tau} is past the double-range "
                                   f"bound {sys.float_info.max:.4g}") from None
             self.nome = nome
-        nome, (w_factor, v_factor) = self.nome, self.factors
+        nome, factor = self.nome, self.factor
         total = 0j
         for comp, val in zip(self.model.components, self.statics):
             try:
-                for rank, m in comp.moving_f:
-                    val *= w_factor(m, t, nome) ** rank
-                for rank, n in comp.moving_fperp:
-                    val *= v_factor(self.variant, n, t, nome) ** rank
+                for kind, blocks in ((None, comp.moving_f), (self.kind, comp.moving_fperp)):
+                    for rank, s in blocks:
+                        val *= factor(kind, reduced_st(s, t), nome) ** rank
             except OverflowError:
                 val = math.inf
             total += val
@@ -862,6 +748,8 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8) -> dic
     digits as a small one.
     """
     samples = list(samples)
+    if not samples:
+        raise SchemaError("a Jacobi check needs at least one sample")
     rows = []
     for t, tau in samples:
         base = fn(t, tau)
@@ -878,7 +766,7 @@ def jacobi_residual(fn, meta: JacobiFormMeta, samples, tol: float = 1e-8) -> dic
             rhs = shift_factor(meta, lam, t, tau) * base
             rows.append({"law": "shift", "shift": [lam, mu], **where,
                          "residual": abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))})
-    worst = max([0.0] + [row["residual"] for row in rows])
+    worst = max(row["residual"] for row in rows)
     return {
         "meta": meta.to_json(),
         "samples": len(samples),

@@ -25,18 +25,18 @@ STEP = Fraction(1, 2)
 
 # The numbers-free row tables of the exact paths, keyed by a tag and the
 # table's arguments without the order: ("tower", top, exact, entries) for
-# ktheory.tower_rows and ("moving", speed signature) for the moving theta
-# products of equivariant.  A table is held at the largest order asked so
-# far, rebuilt from slot 0 when a call asks for more slots and sliced
-# otherwise (slot n depends only on slots <= n).  Tables leave least
-# recently used first once the held coefficients pass PREFIX_CAP; a table
-# of more coefficients than that is returned but not held.  At their
-# largest orders the benchmark's whole genus-towers pool holds 132 tower
-# keys of 18.2k coefficients and its equivariant-exact pool 51 moving keys
-# of 17.5k, so both mixes fit together.  At the CLI caps (dim 24 with 129
-# slots; order 64 with w-width 64) the largest tower key holds 8.4k
-# coefficients (0.37 MB), the widest moving key 64.9k (7.8 MB), and a full
-# memo 2.2-7.8 MB (tracemalloc, Python 3.11.7).
+# ktheory.tower_rows and ("moving", speed signature) for theta.quotient_rows,
+# the moving theta products of an equivariant component.  A table is held at
+# the largest order asked so far, rebuilt from slot 0 when a call asks for
+# more slots and sliced otherwise (slot n depends only on slots <= n).  Tables
+# leave least recently used first once the held coefficients pass PREFIX_CAP;
+# a table of more coefficients than that is returned but not held.  At their
+# largest orders the benchmark's whole genus-towers pool holds 132 tower keys
+# of 18.2k coefficients and its equivariant-exact pool 51 moving keys of
+# 17.5k, so both mixes fit together.  At the CLI caps (dim 24 with 129 slots;
+# order 64 with w-width 64) the largest tower key holds 8.4k coefficients
+# (0.37 MB), the widest moving key 64.9k (7.8 MB), and a full memo 2.2-7.8 MB
+# (tracemalloc, Python 3.11.7).
 PREFIX_CAP = 2**16
 _PREFIX_ROWS = OrderedDict()
 

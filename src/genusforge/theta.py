@@ -1,4 +1,5 @@
-"""Jacobi theta functions: exact z-Laurent q-series and numeric evaluation.
+"""Jacobi theta functions: exact z-Laurent q-series, numeric evaluation, and
+the theta quotients of the equivariant genus functions.
 
 The four kinds follow the product normalization
 
@@ -13,11 +14,14 @@ thetas cancel them algebraically; only the z-product is expanded.
 
 Numeric values go through a Nome: one reduced tau at one tolerance, whose
 q-powers are formed by repeated multiplication (no exponential per
-factor) and whose c(q), c(q)^2 and body_k(1) are formed once.  The
-quotients of the equivariant genus functions read their bodies from it,
-with the same cancellations as the exact path; theta_eval, theta_prime0
-and euler_eval are thin wrappers over the same loops, and the lattice
-law of verify_transform reads both sides of a sample from one nome.
+factor) and whose c(q), c(q)^2 and body_k(1) are formed once.  theta_eval,
+theta_prime0 and euler_eval are thin wrappers over the same loops, and the
+lattice law of verify_transform reads both sides of a sample from one nome.
+
+A moving line contributes theta'(0) / (2 pi i theta(x)) (an F line, kind
+None) or theta'(0) theta_k(x) / (2 pi i theta(x) theta_k(0)) (an Fperp line of
+kind k), built from the same tables as exact rows (quotient_rows), as the
+cancelled body quotient (quotient_value) or as per-line products (line_value).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from fractions import Fraction
 
 from genusforge.errors import SchemaError
-from genusforge.rings import LaurentZ
+from genusforge.rings import LaurentZ, laurent_mul
 from genusforge.series import QSeries
 
 THETA = "theta"
@@ -41,6 +45,9 @@ TAU_FLOOR = 0.05
 # double range near Im tau = 450 (it drifts at 460 and divides by zero at 480)
 TAU_CEIL = 400.0
 FACTOR_CAP = 10**4
+# bounds on pi Im(v)^2 / Im(tau) and on |Im(v)| of an argument v, see checked_st
+GROWTH_BOUND = 690.0
+IM_ST_BOUND = 112.0
 
 # per kind: sign inside the product factors, True when exponents sit on n - 1/2
 _BODY = {
@@ -57,6 +64,7 @@ _PREFIX = {
     THETA2: (1, Fraction(0), "1"),
     THETA3: (1, Fraction(0), "1"),
 }
+_TRIG = {"2sin": cmath.sin, "2cos": cmath.cos}
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +201,36 @@ def theta_prime0_series(order: int) -> ThetaSeries:
     return ThetaSeries("theta_prime0", 3, Fraction(1, 8), "2pi", QSeries.one(LaurentZ(), order))
 
 
+def quotient_rows(key: tuple, order: int):
+    """The truncated product of the moving quotients of a speed signature key,
+    (Fperp kind or None, sorted (rank, |m|) F blocks, sorted (rank, |n|) Fperp
+    blocks), as tuples of (w-exponent, coefficient) rows, w = e^(pi i t), and
+    their coefficient count.  An F block contributes (c(q)^2 / body_theta(w^2m))^r,
+    an Fperp block (c(q)^2 body_kind(w^2n) / (body_theta(w^2n) body_kind(1)))^r,
+    times (w^n + w^-n)^r for theta1.  Each distinct factor is raised once, to
+    its summed signed multiplicity.
+    """
+    kind, f_blocks, fperp_blocks = key
+    rows = unit_rows(order)
+    parts = [(euler_factors(order), 2 * sum(rank for rank, _ in f_blocks + fperp_blocks))]
+    for rank, m in f_blocks:
+        parts.append((body_factors(THETA, order, 2 * m), -rank))
+    for rank, n in fperp_blocks:
+        parts += [(body_factors(kind, order, 2 * n), rank), (body_factors(kind, order, 0), -rank),
+                  (body_factors(THETA, order, 2 * n), -rank)]
+        if kind == THETA1:
+            for _ in range(rank):
+                rows[0] = laurent_mul(rows[0], {n: 1, -n: 1})
+    power = {}
+    for factors, r in parts:
+        for f in factors:  # a list, not a set: body_factors(kind, order, 0) holds each twice
+            power[f] = power.get(f, 0) + r
+    factors = [f + (r,) for f, r in power.items()]
+    # q-only factors first, while the rows are still one entry wide, and products first
+    power_rows(rows, sorted(factors, key=lambda f: (f[2] != 0, f[3] < 0)))
+    return tuple(tuple(row.items()) for row in rows), sum(map(len, rows))
+
+
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
@@ -227,6 +265,27 @@ def check_tau(tau) -> complex:
     if tau.imag > TAU_CEIL:
         raise SchemaError(f"Im(tau) = {tau.imag} is above the evaluation ceiling {TAU_CEIL}")
     return reduced_tau(tau)
+
+
+def checked_st(s: int, t: complex, tau: complex, who: str, arg: str = "v") -> complex:
+    """reduced_st(s, t) at a checked tau; a SchemaError names the point by who
+    (formatted with s and t) and the argument by arg when s t is not finite or
+    past a bound: theta products grow like exp(pi Im(s t)^2 / Im(tau)), which
+    leaves double range near exp(709), and their factors form e^(2 pi i s t),
+    which leaves it near |Im(s t)| = 112.97.  Im(s t)^2 is taken as a product,
+    so a huge Im(s t) reads as past the bound, not as an overflow.
+    """
+    if not cmath.isfinite(s * t):
+        raise SchemaError(f"{who.format(s=s, t=t)} puts {arg} past double range")
+    x = reduced_st(s, t)
+    growth = math.pi * x.imag * x.imag / tau.imag
+    if growth > GROWTH_BOUND:
+        raise SchemaError(f"{who.format(s=s, t=t)} puts pi Im({arg})^2 / Im(tau) = {growth:.4g} "
+                          f"past the bound {GROWTH_BOUND:g} of double-precision theta products")
+    if abs(x.imag) > IM_ST_BOUND:
+        raise SchemaError(f"{who.format(s=s, t=t)} puts |Im({arg})| = {abs(x.imag):.4g} past the "
+                          f"bound {IM_ST_BOUND:g} of double-precision theta factors")
+    return x
 
 
 def _factor_count(absq, grow, tol):
@@ -343,24 +402,65 @@ def theta_eval(kind, v, tau, tol: float = 1e-12) -> complex:
     return _theta_value(Nome(tau, tol), kind, v)
 
 
+def _trig(kind, v: complex) -> complex:
+    """The kind's trig factor at v: 2 sin(pi v), 2 cos(pi v), or 1."""
+    fn = _TRIG.get(_PREFIX[kind][2])
+    return 1.0 if fn is None else 2.0 * fn(math.pi * v)
+
+
 def _theta_value(nome: Nome, kind, v) -> complex:
-    """theta_eval of a known kind over a given Nome."""
-    v = complex(v)
-    c_power, q_offset, trig = _PREFIX[kind]
-    out = nome.euler() ** c_power * nome.body(kind, cmath.exp(2j * math.pi * v))
+    """theta_eval of a known kind over a given Nome, at v reduced mod 2 by checked_st:
+    exact for every kind, as theta and theta1 change sign under v -> v + 1."""
+    x = checked_st(1, complex(v), nome.tau, "theta at v = {t}")
+    c_power, q_offset, _ = _PREFIX[kind]
+    out = nome.euler() ** c_power * nome.body(kind, cmath.exp(2j * math.pi * x))
     if q_offset:
         out *= cmath.exp(2j * math.pi * nome.tau * float(q_offset))
-    if trig == "2sin":
-        out *= 2.0 * cmath.sin(math.pi * v)
-    elif trig == "2cos":
-        out *= 2.0 * cmath.cos(math.pi * v)
-    return out
+    return out * _trig(kind, x)
 
 
 def theta_prime0(tau, tol: float = 1e-12) -> complex:
     """d theta / dv at v = 0: 2 pi q^(1/8) c(q)^3."""
     nome = Nome(tau, tol)
     return 2.0 * math.pi * cmath.exp(2j * math.pi * nome.tau / 8.0) * nome.euler() ** 3
+
+
+def quotient_value(kind, x: complex, nome: Nome) -> complex:
+    """The moving quotient of an F line (kind None) or an Fperp line at x = s t mod 2,
+    cancelled as in quotient_rows: c(q)^2 / (2i sin(pi x) body_theta(z)), times
+    trig_k(x) body_k(z) / body_k(1) with a kind.  trig_k(0) stays out, so a
+    theta1 quotient is doubled: the factor 2 of the G function.
+    """
+    z = cmath.exp(2j * math.pi * x)
+    den = 1j * _trig(THETA, x) * nome.body(THETA, z)
+    if kind is None:
+        return nome.euler_squared() / den
+    val = nome.euler_squared() * nome.body(kind, z) / (den * nome.body_at_one(kind))
+    return val * _trig(kind, x)
+
+
+def line_value(kind, x: complex, nome: Nome) -> complex:
+    """quotient_value from literal per-line products: 1 / (2 sinh(pi i x)), or
+    trig_k(x) / (2 sinh(pi i x)) with a kind, times prod (1 - q^n)^2 / ((1 - q^n z)(1 - q^n / z)),
+    and with a kind times prod (1 + s q^e z)(1 + s q^e / z) / (1 + s q^e)^2 over its sign s
+    and exponents e; with a kind both products take the factor count of |q|^(1/2).
+    """
+    z = cmath.exp(2j * math.pi * x)
+    grow = max(abs(z), 1 / abs(z), 1.0)
+    out = (1.0 if kind is None else _trig(kind, x)) / (1j * _trig(THETA, x))
+    if kind is None:
+        for qk in nome.powers(_factor_count(nome.absq, grow, nome.tol)):
+            out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
+        return out
+    sign, half = _BODY[kind]
+    terms = _factor_count(nome.absq ** 0.5, grow, nome.tol)
+    whole = nome.powers(terms)
+    # s = +-1: s q^e z = q^e (s z), s q^e / z = q^e / (s z), (1 + s q^e)^2 = (s + q^e)^2 exactly
+    sz = sign * z
+    for qk, qe in zip(whole, nome.powers(terms, True) if half else whole):
+        out *= (1 - qk) ** 2 / ((1 - qk * z) * (1 - qk / z))
+        out *= (1 + qe * sz) * (1 + qe / sz) / (sign + qe) ** 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +540,9 @@ def verify_transform(kind, law, samples, tol: float = 1e-9) -> dict:
     for t, tau in samples:
         tau = complex(tau)
         rows.append({"t": str(t), "tau": str(tau), **dict(zip(keys, residuals(t, tau)))})
-    maxima = [max([0.0] + [row[key] for row in rows]) for key in keys]
+    if not rows:
+        raise SchemaError("a transformation check needs at least one sample")
+    maxima = [max(row[key] for row in rows) for key in keys]
     report = {"kind": kind, "law": label, "samples": rows}
     if len(maxima) == 2:  # the lattice law names the sign convention that holds
         neg, pos = maxima

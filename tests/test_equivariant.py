@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-import genusforge.equivariant as equivariant
+import genusforge.theta as theta
 from genusforge.equivariant import (
     GENERATORS,
     MAT_S,
@@ -418,8 +418,8 @@ def test_moving_rows_raise_each_factor_once(monkeypatch):
         calls.append(factors)
         return power_rows(rows, factors)
 
-    monkeypatch.setattr(equivariant, "power_rows", counted)
-    rows, _ = equivariant._build_moving_rows((THETA1, (), ((64, 1),)), 12)
+    monkeypatch.setattr(theta, "power_rows", counted)
+    rows, _ = theta.quotient_rows((THETA1, (), ((64, 1),)), 12)
     assert len(calls) == 1
     factors = calls[0]
     got = {(e, c, k): r for e, c, k, r in factors}
@@ -1077,6 +1077,12 @@ def test_jacobi_residual_split_variants():
         assert report["pass"], (variant, report["max_residual"])
 
 
+def test_a_jacobi_check_without_samples_is_refused():
+    model = free_point_model()
+    with pytest.raises(SchemaError, match="at least one sample"):
+        jacobi_residual(evaluator(model, "H"), form_meta(model, "H"), [])
+
+
 def test_static_values_build_the_walk_once():
     # the symbolic half of the static pairing is cached per (dim, splitting):
     # every value at every tau, and each variant, share one walk
@@ -1100,7 +1106,7 @@ def test_static_values_build_the_walk_once():
 def test_imaginary_speed_past_the_factor_bound_is_a_schema_error():
     # Im tau = 70 lets Im(s t) = 113 pass the growth bound (572 < 690), but
     # e^(2 pi i s t) leaves double range there; 112 still evaluates
-    from genusforge.equivariant import IM_ST_BOUND
+    from genusforge.theta import IM_ST_BOUND
 
     cases = [(free_point_model(), "H")] + [(free_split_model(), f) for f in ("G", "G1", "G2")]
     for model, function in cases:

@@ -46,12 +46,26 @@ def _unused_imports(directory):
                   for path in directory.rglob("*.py") for name in _unused(path))
 
 
+def _private_theta_imports(directory):
+    """(file, name) for every underscore name imported from genusforge.theta."""
+    return sorted((str(path.relative_to(directory)), alias.name)
+                  for path in directory.rglob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.ImportFrom) and node.module == "genusforge.theta"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
 def test_library_imports_only_the_standard_library():
     assert _strays(ROOT / "src" / "genusforge", sys.stdlib_module_names | {"genusforge"}) == []
 
 
 def test_library_uses_every_name_it_imports():
     assert _unused_imports(ROOT / "src" / "genusforge") == []
+
+
+def test_no_module_imports_a_private_theta_name():
+    # the theta kinds' conventions and factor counts stay inside theta
+    assert _private_theta_imports(ROOT / "src" / "genusforge") == []
 
 
 def test_tests_import_only_the_declared_extras():
@@ -73,3 +87,9 @@ def test_an_unused_import_is_seen(tmp_path):
         "__all__ = ['tau']\n"
         "def f(x: Fraction):\n    return os.path.join(str(pi), x)\n")
     assert _unused_imports(tmp_path) == [("stray.py", "js")]
+
+
+def test_a_private_theta_import_is_seen(tmp_path):
+    (tmp_path / "stray.py").write_text("from genusforge.theta import KINDS, _BODY\n"
+                                       "from genusforge.series import _cap\n")
+    assert _private_theta_imports(tmp_path) == [("stray.py", "_BODY")]

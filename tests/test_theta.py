@@ -19,6 +19,8 @@ from genusforge.theta import (
     ThetaSeries,
     euler_eval,
     euler_product,
+    line_value,
+    quotient_value,
     reduced_st,
     theta_eval,
     theta_prime0,
@@ -33,7 +35,9 @@ from oracles import (
     euler_product_oracle,
     referee_euler,
     referee_prime0,
+    referee_line,
     referee_qpow,
+    referee_quotient,
     referee_theta,
     theta_body_oracle,
     tinv,
@@ -187,6 +191,61 @@ def test_eval_matches_the_exp_per_factor_referee():
         assert abs(theta_prime0(tau) - want) <= 1e-13 * abs(want), tau
         q = cmath.exp(2j * cmath.pi * tau)
         assert abs(euler_eval(q) - referee_euler(tau)) <= 1e-13 * abs(referee_euler(tau))
+
+
+def test_moving_factors_match_the_exp_per_factor_referee():
+    # kind None is an F line; quotient_value keeps theta_k(0) / 2 for theta1,
+    # which doubles the referee's quotient
+    rng = random.Random(2026)
+    variants = {None: None, THETA1: "G", THETA2: "G1", THETA3: "G2"}
+    for im in (0.05, 0.3, 1.2):
+        for _ in range(40):
+            tau = complex(rng.uniform(-3, 3), im)
+            x = complex(rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+            nome = Nome(tau)
+            for kind, variant in variants.items():
+                for got, want in (
+                        (quotient_value(kind, x, nome),
+                         referee_quotient(x, tau, kind) * (2 if kind == THETA1 else 1)),
+                        (line_value(kind, x, nome), referee_line(x, tau, variant))):
+                    assert abs(got - want) <= 1e-13 * abs(want), (kind, x, tau)
+
+
+def test_eval_reduces_v_mod_2_exactly():
+    # theta and theta1 change sign under v -> v + 1 and theta2 and theta3 do
+    # not, so v mod 2 is exact; without it a huge Re v loses the phase
+    mpmath.mp.dps = 30
+    for kind in KINDS:
+        for tau in (1j, 0.3 + 0.4j):
+            for v in (0.3j, 0.25 - 0.1j):
+                want = theta_eval(kind, v, tau)
+                assert theta_eval(kind, v + 2, tau) == want
+                assert theta_eval(kind, v - 6, tau) == want
+                assert theta_eval(kind, v.real + 1e300 + 1j * v.imag, tau) == theta_eval(
+                    kind, 1j * v.imag, tau)
+        ref = complex(mpmath.jtheta(_JT[kind], 0, mpmath.exp(-mpmath.pi)))
+        assert abs(theta_eval(kind, 1e300, 1j) - ref) < 1e-14
+
+
+def test_eval_refuses_v_past_double_range():
+    # unchecked, these divide by zero, overflow or give NaN: past the bounds
+    # of theta.checked_st the products or e^(2 pi i v) leave double range
+    for kind in KINDS:
+        for v in (200j, -200j, complex("inf"), complex("nan"), complex(0.1, math.inf)):
+            with pytest.raises(SchemaError, match="past (double range|the bound)"):
+                theta_eval(kind, v, 1j)
+        assert cmath.isfinite(theta_eval(kind, 0.1 + 112j, 70j))
+        with pytest.raises(SchemaError, match="bound 112 "):
+            theta_eval(kind, 0.1 + 113j, 70j)
+        for law in ("S", "T", ("lattice", 2, 0)):
+            with pytest.raises(SchemaError, match="past the bound"):
+                verify_transform(kind, law, [(200j, 1j)])
+
+
+def test_a_check_without_samples_is_refused():
+    for law in ("S", "T", ("lattice", 2, 0)):
+        with pytest.raises(SchemaError, match="at least one sample"):
+            verify_transform(THETA, law, [])
 
 
 def test_nome_powers_start_from_the_exponential_of_tau():
